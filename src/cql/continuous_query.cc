@@ -1,6 +1,7 @@
 #include "cql/continuous_query.h"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "types/serde.h"
@@ -109,6 +110,59 @@ Result<MultisetRelation> BabcockSellisResult(
   return acc;
 }
 
+// --- DeltaBuffer ---
+
+void DeltaBuffer::Add(Tuple t, int64_t weight) {
+  if (weight == 0) return;
+  if (2 * (rows_.size() + 1) > slots_.size()) {
+    Rehash(std::max<size_t>(16, 2 * slots_.size()));
+  }
+  const uint64_t h = t.Hash();
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = MixU64(h) & mask;; i = (i + 1) & mask) {
+    const uint32_t s = slots_[i];
+    if (s == 0) {
+      slots_[i] = static_cast<uint32_t>(rows_.size() + 1);
+      rows_.emplace_back(std::move(t), weight);
+      hashes_.push_back(h);
+      return;
+    }
+    if (hashes_[s - 1] == h && rows_[s - 1].first == t) {
+      rows_[s - 1].second += weight;
+      return;
+    }
+  }
+}
+
+void DeltaBuffer::Rehash(size_t capacity) {
+  // Room for every row the table admits before it grows again.
+  rows_.reserve(capacity / 2);
+  hashes_.reserve(capacity / 2);
+  slots_.assign(capacity, 0);
+  const size_t mask = capacity - 1;
+  for (size_t r = 0; r < rows_.size(); ++r) {
+    size_t i = MixU64(hashes_[r]) & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = static_cast<uint32_t>(r + 1);
+  }
+}
+
+DeltaList DeltaBuffer::Take() {
+  const size_t distinct = rows_.size();
+  DeltaList out = std::move(rows_);
+  rows_.clear();
+  hashes_.clear();
+  // Keep the table for the next batch unless this one was a rare spike.
+  if (slots_.size() > 8 * std::max<size_t>(distinct, 16)) {
+    slots_.clear();
+  } else {
+    std::fill(slots_.begin(), slots_.end(), 0u);
+    rows_.reserve(slots_.size() / 2);
+  }
+  std::erase_if(out, [](const auto& row) { return row.second == 0; });
+  return out;
+}
+
 namespace {
 
 /// Marks plan nodes whose accumulated output the delta rules actually read:
@@ -128,36 +182,107 @@ void MarkCachedNodes(const RelOp* op, std::set<const RelOp*>* cached) {
   for (const auto& c : op->children()) MarkCachedNodes(c.get(), cached);
 }
 
+/// Counts the Scan nodes reading each input slot.
+void CountScans(const RelOp* op, std::vector<size_t>* readers) {
+  if (op->kind() == RelOpKind::kScan && op->input_index() < readers->size()) {
+    ++(*readers)[op->input_index()];
+  }
+  for (const auto& c : op->children()) CountScans(c.get(), readers);
+}
+
+int64_t CountIn(const std::unordered_map<Tuple, int64_t>& zset,
+                const Tuple& t) {
+  auto it = zset.find(t);
+  return it == zset.end() ? 0 : it->second;
+}
+
+void AddTo(std::unordered_map<Tuple, int64_t>* zset, const Tuple& t,
+           int64_t weight) {
+  auto [it, inserted] = zset->try_emplace(t, 0);
+  it->second += weight;
+  if (it->second == 0) zset->erase(it);
+}
+
+/// A projection whose output column i is its child's column i: it only
+/// renames columns, so its delta is its child's delta.
+bool RenamesOnly(const RelOp& project) {
+  const auto& exprs = project.projections();
+  if (exprs.size() != project.children()[0]->schema()->num_fields()) {
+    return false;
+  }
+  for (size_t i = 0; i < exprs.size(); ++i) {
+    if (exprs[i]->kind() != Expr::Kind::kColumn ||
+        static_cast<const ColumnRef&>(*exprs[i]).index() != i) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool ByTuple(const std::pair<Tuple, int64_t>& a,
+             const std::pair<Tuple, int64_t>& b) {
+  return a.first < b.first;
+}
+
 }  // namespace
 
 IncrementalPlanExecutor::IncrementalPlanExecutor(RelOpPtr plan,
-                                                 size_t num_inputs)
-    : plan_(std::move(plan)), num_inputs_(num_inputs) {
-  if (plan_ != nullptr) MarkCachedNodes(plan_.get(), &cached_nodes_);
+                                                 size_t num_inputs,
+                                                 bool maintain_output)
+    : plan_(std::move(plan)),
+      num_inputs_(num_inputs),
+      maintain_output_(maintain_output),
+      scan_readers_(num_inputs, 0) {
+  if (plan_ != nullptr) {
+    MarkCachedNodes(plan_.get(), &cached_nodes_);
+    CountScans(plan_.get(), &scan_readers_);
+  }
 }
 
 Result<MultisetRelation> IncrementalPlanExecutor::ApplyDeltas(
     const std::vector<MultisetRelation>& input_deltas) {
+  std::vector<DeltaList> lists;
+  lists.reserve(input_deltas.size());
+  for (const MultisetRelation& d : input_deltas) {
+    lists.emplace_back(d.entries().begin(), d.entries().end());
+  }
+  CQ_ASSIGN_OR_RETURN(DeltaList delta, Apply(std::move(lists)));
+  MultisetRelation out;
+  for (const auto& [t, w] : delta) out.Add(t, w);
+  return out;
+}
+
+Result<DeltaList> IncrementalPlanExecutor::Apply(
+    std::vector<DeltaList> input_deltas) {
+  if (plan_ == nullptr) return Status::PlanError("executor has no plan");
   if (input_deltas.size() != num_inputs_) {
     return Status::InvalidArgument("delta batch arity mismatch");
   }
-  CQ_ASSIGN_OR_RETURN(MultisetRelation delta,
-                      DeltaEval(plan_.get(), input_deltas));
-  output_.PlusInPlace(delta);
+  Batch batch{std::move(input_deltas), scan_readers_};
+  CQ_ASSIGN_OR_RETURN(DeltaList delta, Propagate(plan_.get(), &batch));
+  // The one consolidation and sort per batch: each tuple once, in tuple
+  // order, so a -old/+new pair for an unchanged row cancels here.
+  for (auto& [t, w] : delta) net_.Add(std::move(t), w);
+  delta = net_.Take();
+  std::sort(delta.begin(), delta.end(), ByTuple);
+  if (maintain_output_) {
+    for (const auto& [t, w] : delta) output_.Add(t, w);
+  }
   return delta;
 }
 
 size_t IncrementalPlanExecutor::StateSize() const {
   size_t n = 0;
-  for (const auto& [op, rel] : cache_) n += rel.NumDistinct();
+  for (const auto& [op, rel] : cache_) n += rel.size();
   for (const auto& [op, idx] : agg_indexes_) n += idx.groups.size();
   return n;
 }
 
-Result<MultisetRelation> IncrementalPlanExecutor::DeltaJoin(
-    const RelOp* op, const MultisetRelation& dl, const MultisetRelation& dr) {
+Result<DeltaList> IncrementalPlanExecutor::DeltaJoin(const RelOp* op,
+                                                     const DeltaList& dl,
+                                                     const DeltaList& dr) {
   JoinIndex& index = join_indexes_[op];
-  MultisetRelation delta;
+  DeltaList delta;
   const Expr* residual = op->predicate().get();
 
   auto combine = [&](const Tuple& lt, int64_t lc, const Tuple& rt,
@@ -167,12 +292,19 @@ Result<MultisetRelation> IncrementalPlanExecutor::DeltaJoin(
       CQ_ASSIGN_OR_RETURN(Value v, residual->Eval(joined));
       if (!(v.is_bool() && v.bool_value())) return Status::OK();
     }
-    delta.Add(std::move(joined), lc * rc);
+    delta.emplace_back(std::move(joined), lc * rc);
     return Status::OK();
+  };
+  auto fold = [](std::unordered_map<Tuple, std::map<Tuple, int64_t>>* side,
+                 Tuple key, const Tuple& t, int64_t c) {
+    std::map<Tuple, int64_t>& bucket = (*side)[std::move(key)];
+    auto [it, inserted] = bucket.try_emplace(t, 0);
+    it->second += c;
+    if (it->second == 0) bucket.erase(it);
   };
 
   // dL >< R_old: probe the right index before applying dR.
-  for (const auto& [lt, lc] : dl.entries()) {
+  for (const auto& [lt, lc] : dl) {
     auto it = index.right.find(lt.Project(op->left_keys()));
     if (it == index.right.end()) continue;
     for (const auto& [rt, rc] : it->second) {
@@ -180,34 +312,57 @@ Result<MultisetRelation> IncrementalPlanExecutor::DeltaJoin(
     }
   }
   // Fold dL into the left index (making it L_new).
-  for (const auto& [lt, lc] : dl.entries()) {
-    auto& bucket = index.left[lt.Project(op->left_keys())];
-    bucket[lt] += lc;
-    if (bucket[lt] == 0) bucket.erase(lt);
+  for (const auto& [lt, lc] : dl) {
+    fold(&index.left, lt.Project(op->left_keys()), lt, lc);
   }
   // L_new >< dR.
-  for (const auto& [rt, rc] : dr.entries()) {
+  for (const auto& [rt, rc] : dr) {
     auto it = index.left.find(rt.Project(op->right_keys()));
-    if (it != index.left.end()) {
-      for (const auto& [lt, lc] : it->second) {
-        CQ_RETURN_NOT_OK(combine(lt, lc, rt, rc));
-      }
+    if (it == index.left.end()) continue;
+    for (const auto& [lt, lc] : it->second) {
+      CQ_RETURN_NOT_OK(combine(lt, lc, rt, rc));
     }
   }
   // Fold dR into the right index.
-  for (const auto& [rt, rc] : dr.entries()) {
-    auto& bucket = index.right[rt.Project(op->right_keys())];
-    bucket[rt] += rc;
-    if (bucket[rt] == 0) bucket.erase(rt);
+  for (const auto& [rt, rc] : dr) {
+    fold(&index.right, rt.Project(op->right_keys()), rt, rc);
   }
   return delta;
 }
 
-Result<Tuple> IncrementalPlanExecutor::GroupRow(const RelOp* op,
-                                                const Tuple& key,
-                                                const GroupState& g) const {
-  std::vector<Value> vals = key.values();
+Result<DeltaList> IncrementalPlanExecutor::DeltaThetaJoin(
+    const RelOp* op, const DeltaList& dl, const DeltaList& dr) {
+  // dJ = dL >< R_new - dL >< dR + L_new >< dR, against the children's
+  // maintained accumulations (already updated by this batch).
+  const ZSetMap& l_new = cache_[op->children()[0].get()];
+  const ZSetMap& r_new = cache_[op->children()[1].get()];
+  const Expr* pred = op->predicate().get();
+  DeltaList delta;
+  auto emit = [&](const Tuple& lt, const Tuple& rt, int64_t w) -> Status {
+    Tuple joined = Tuple::Concat(lt, rt);
+    if (pred != nullptr) {
+      CQ_ASSIGN_OR_RETURN(Value v, pred->Eval(joined));
+      if (!(v.is_bool() && v.bool_value())) return Status::OK();
+    }
+    delta.emplace_back(std::move(joined), w);
+    return Status::OK();
+  };
+  for (const auto& [lt, lc] : dl) {
+    for (const auto& [rt, rc] : r_new) CQ_RETURN_NOT_OK(emit(lt, rt, lc * rc));
+    for (const auto& [rt, rc] : dr) CQ_RETURN_NOT_OK(emit(lt, rt, -lc * rc));
+  }
+  for (const auto& [lt, lc] : l_new) {
+    for (const auto& [rt, rc] : dr) CQ_RETURN_NOT_OK(emit(lt, rt, lc * rc));
+  }
+  return delta;
+}
+
+Tuple IncrementalPlanExecutor::GroupRow(const RelOp* op, const Tuple& key,
+                                        const GroupState& g) const {
   const auto& aggs = op->aggs();
+  std::vector<Value> vals;
+  vals.reserve(key.size() + aggs.size());
+  vals.insert(vals.end(), key.values().begin(), key.values().end());
   for (size_t i = 0; i < aggs.size(); ++i) {
     switch (aggs[i].kind) {
       case AggregateKind::kCount:
@@ -251,147 +406,175 @@ Result<Tuple> IncrementalPlanExecutor::GroupRow(const RelOp* op,
   return Tuple(std::move(vals));
 }
 
-Result<MultisetRelation> IncrementalPlanExecutor::DeltaAggregate(
-    const RelOp* op, const MultisetRelation& dc) {
+Result<DeltaList> IncrementalPlanExecutor::DeltaAggregate(
+    const RelOp* op, const DeltaList& dc) {
   AggIndex& index = agg_indexes_[op];
   const auto& aggs = op->aggs();
   const bool global = op->group_indexes().empty();
 
-  std::set<Tuple> touched;
+  // Groups changed by this batch, in first-touch order. Node pointers stay
+  // valid across rehashes; the touched flag keeps each group listed once.
+  std::vector<std::pair<const Tuple, GroupState>*> touched;
+  auto touch = [&](std::pair<const Tuple, GroupState>& entry) {
+    if (entry.second.touched) return;
+    entry.second.touched = true;
+    touched.push_back(&entry);
+  };
+  // The group of delta tuple `t`; its key is built only for a new group.
+  auto group = [&](const Tuple& t) -> std::pair<const Tuple, GroupState>& {
+    auto it = index.groups.find(KeyOf{&t, &op->group_indexes()});
+    if (it == index.groups.end()) {
+      it = index.groups.try_emplace(t.Project(op->group_indexes())).first;
+      it->second.running.resize(aggs.size());
+      it->second.ordered.resize(aggs.size());
+    }
+    return *it;
+  };
   // The global (scalar) aggregate always has a row (identity on empty
   // input); materialise its group on the first batch so the identity row is
   // emitted even when this batch carries no data for it.
-  if (global && index.groups.empty()) {
-    GroupState g;
-    g.running.resize(aggs.size());
-    g.ordered.resize(aggs.size());
-    index.groups.emplace(Tuple(), std::move(g));
-    touched.insert(Tuple());
-  }
-  for (const auto& [t, c] : dc.entries()) {
-    Tuple key = t.Project(op->group_indexes());
-    auto [it, inserted] = index.groups.try_emplace(key);
-    GroupState& g = it->second;
-    if (inserted) {
-      g.running.resize(aggs.size());
-      g.ordered.resize(aggs.size());
-    }
-    g.rows += c;
-    for (size_t i = 0; i < aggs.size(); ++i) {
-      Value in(static_cast<int64_t>(1));
-      if (aggs[i].input != nullptr) {
-        CQ_ASSIGN_OR_RETURN(in, aggs[i].input->Eval(t));
-      }
-      if (in.is_null()) continue;  // NULLs contribute to no aggregate
-      switch (aggs[i].kind) {
-        case AggregateKind::kCount:
-          g.running[i].count += c;
-          break;
-        case AggregateKind::kSum:
-        case AggregateKind::kAvg:
-          g.running[i].count += c;
-          g.running[i].sum += static_cast<double>(c) * in.AsDouble();
-          break;
-        case AggregateKind::kMin:
-        case AggregateKind::kMax: {
-          auto& bucket = g.ordered[i];
-          bucket[in] += c;
-          if (bucket[in] == 0) bucket.erase(in);
-          break;
+  if (global && index.groups.empty()) touch(group(Tuple()));
+
+  Status folded = [&]() -> Status {
+    for (const auto& [t, c] : dc) {
+      auto& entry = group(t);
+      GroupState& g = entry.second;
+      g.rows += c;
+      for (size_t i = 0; i < aggs.size(); ++i) {
+        Value in(static_cast<int64_t>(1));
+        if (aggs[i].input != nullptr) {
+          CQ_ASSIGN_OR_RETURN(in, aggs[i].input->Eval(t));
+        }
+        if (in.is_null()) continue;  // NULLs contribute to no aggregate
+        switch (aggs[i].kind) {
+          case AggregateKind::kCount:
+            g.running[i].count += c;
+            break;
+          case AggregateKind::kSum:
+          case AggregateKind::kAvg:
+            g.running[i].count += c;
+            g.running[i].sum += static_cast<double>(c) * in.AsDouble();
+            break;
+          case AggregateKind::kMin:
+          case AggregateKind::kMax: {
+            auto& bucket = g.ordered[i];
+            auto [it, inserted] = bucket.try_emplace(std::move(in), 0);
+            it->second += c;
+            if (it->second == 0) bucket.erase(it);
+            break;
+          }
         }
       }
+      touch(entry);
     }
-    touched.insert(std::move(key));
+    return Status::OK();
+  }();
+  if (!folded.ok()) {
+    for (auto* entry : touched) entry->second.touched = false;
+    return folded;
   }
 
-  MultisetRelation delta;
-  for (const Tuple& key : touched) {
-    auto it = index.groups.find(key);
-    GroupState& g = it->second;
-    bool want_row = global || g.rows > 0;
-    if (g.has_row) delta.Add(g.row, -1);
-    if (want_row) {
-      CQ_ASSIGN_OR_RETURN(Tuple row, GroupRow(op, key, g));
-      delta.Add(row, 1);
-      g.row = std::move(row);
+  DeltaList delta;
+  delta.reserve(2 * touched.size());
+  for (auto* entry : touched) {
+    GroupState& g = entry->second;
+    g.touched = false;
+    if (g.has_row) delta.emplace_back(std::move(g.row), -1);
+    if (global || g.rows > 0) {
+      g.row = GroupRow(op, entry->first, g);
       g.has_row = true;
+      delta.emplace_back(g.row, 1);
     } else {
-      index.groups.erase(it);
+      index.groups.erase(index.groups.find(entry->first));
     }
   }
   return delta;
 }
 
-Result<MultisetRelation> IncrementalPlanExecutor::DeltaEval(
-    const RelOp* op, const std::vector<MultisetRelation>& input_deltas) {
-  MultisetRelation delta;
+Result<DeltaList> IncrementalPlanExecutor::Propagate(const RelOp* op,
+                                                     Batch* batch) {
+  DeltaList delta;
   switch (op->kind()) {
-    case RelOpKind::kScan:
-      delta = input_deltas[op->input_index()];
+    case RelOpKind::kScan: {
+      const size_t slot = op->input_index();
+      if (slot >= batch->inputs.size()) {
+        return Status::PlanError("scan reads a slot outside the delta batch");
+      }
+      // The last reader of a slot takes its batch; earlier ones copy.
+      if (--batch->readers_left[slot] == 0) {
+        delta = std::move(batch->inputs[slot]);
+      } else {
+        delta = batch->inputs[slot];
+      }
       break;
+    }
     case RelOpKind::kSelect: {
-      CQ_ASSIGN_OR_RETURN(MultisetRelation dc,
-                          DeltaEval(op->children()[0].get(), input_deltas));
-      CQ_ASSIGN_OR_RETURN(delta, SelectOp(dc, *op->predicate()));
+      CQ_ASSIGN_OR_RETURN(delta, Propagate(op->children()[0].get(), batch));
+      const Expr& pred = *op->predicate();
+      size_t kept = 0;
+      for (size_t i = 0; i < delta.size(); ++i) {
+        CQ_ASSIGN_OR_RETURN(Value v, pred.Eval(delta[i].first));
+        if (!(v.is_bool() && v.bool_value())) continue;
+        if (kept != i) delta[kept] = std::move(delta[i]);
+        ++kept;
+      }
+      delta.erase(delta.begin() + static_cast<std::ptrdiff_t>(kept),
+                  delta.end());
       break;
     }
     case RelOpKind::kProject: {
-      CQ_ASSIGN_OR_RETURN(MultisetRelation dc,
-                          DeltaEval(op->children()[0].get(), input_deltas));
-      CQ_ASSIGN_OR_RETURN(delta, ProjectOp(dc, op->projections()));
+      CQ_ASSIGN_OR_RETURN(delta, Propagate(op->children()[0].get(), batch));
+      if (RenamesOnly(*op)) break;
+      const auto& exprs = op->projections();
+      for (auto& row : delta) {
+        std::vector<Value> vals;
+        vals.reserve(exprs.size());
+        for (const auto& e : exprs) {
+          CQ_ASSIGN_OR_RETURN(Value v, e->Eval(row.first));
+          vals.push_back(std::move(v));
+        }
+        row.first = Tuple(std::move(vals));
+      }
       break;
     }
     case RelOpKind::kUnion: {
-      CQ_ASSIGN_OR_RETURN(MultisetRelation dl,
-                          DeltaEval(op->children()[0].get(), input_deltas));
-      CQ_ASSIGN_OR_RETURN(MultisetRelation dr,
-                          DeltaEval(op->children()[1].get(), input_deltas));
-      delta = dl.Plus(dr);
+      CQ_ASSIGN_OR_RETURN(delta, Propagate(op->children()[0].get(), batch));
+      CQ_ASSIGN_OR_RETURN(DeltaList dr,
+                          Propagate(op->children()[1].get(), batch));
+      delta.insert(delta.end(), std::make_move_iterator(dr.begin()),
+                   std::make_move_iterator(dr.end()));
       break;
     }
-    case RelOpKind::kJoin: {
-      CQ_ASSIGN_OR_RETURN(MultisetRelation dl,
-                          DeltaEval(op->children()[0].get(), input_deltas));
-      CQ_ASSIGN_OR_RETURN(MultisetRelation dr,
-                          DeltaEval(op->children()[1].get(), input_deltas));
-      CQ_ASSIGN_OR_RETURN(delta, DeltaJoin(op, dl, dr));
-      break;
-    }
+    case RelOpKind::kJoin:
     case RelOpKind::kThetaJoin: {
-      // dJ = dL >< R_new - dL >< dR + L_new >< dR (all against maintained
-      // accumulations; references into cache_ are stable, no copies).
-      const RelOp* l = op->children()[0].get();
-      const RelOp* r = op->children()[1].get();
-      CQ_ASSIGN_OR_RETURN(MultisetRelation dl, DeltaEval(l, input_deltas));
-      CQ_ASSIGN_OR_RETURN(MultisetRelation dr, DeltaEval(r, input_deltas));
-      const MultisetRelation& l_new = cache_[l];
-      const MultisetRelation& r_new = cache_[r];
-      const Expr* pred = op->predicate().get();
-      CQ_ASSIGN_OR_RETURN(MultisetRelation part1,
-                          ThetaJoinOp(dl, r_new, pred));
-      CQ_ASSIGN_OR_RETURN(MultisetRelation part2, ThetaJoinOp(dl, dr, pred));
-      CQ_ASSIGN_OR_RETURN(MultisetRelation part3,
-                          ThetaJoinOp(l_new, dr, pred));
-      delta = part1.Minus(part2).Plus(part3);
+      CQ_ASSIGN_OR_RETURN(DeltaList dl,
+                          Propagate(op->children()[0].get(), batch));
+      CQ_ASSIGN_OR_RETURN(DeltaList dr,
+                          Propagate(op->children()[1].get(), batch));
+      if (op->kind() == RelOpKind::kJoin) {
+        CQ_ASSIGN_OR_RETURN(delta, DeltaJoin(op, dl, dr));
+      } else {
+        CQ_ASSIGN_OR_RETURN(delta, DeltaThetaJoin(op, dl, dr));
+      }
       break;
     }
     case RelOpKind::kAggregate: {
-      CQ_ASSIGN_OR_RETURN(MultisetRelation dc,
-                          DeltaEval(op->children()[0].get(), input_deltas));
+      CQ_ASSIGN_OR_RETURN(DeltaList dc,
+                          Propagate(op->children()[0].get(), batch));
       CQ_ASSIGN_OR_RETURN(delta, DeltaAggregate(op, dc));
       break;
     }
     case RelOpKind::kDistinct: {
       const RelOp* child = op->children()[0].get();
-      CQ_ASSIGN_OR_RETURN(MultisetRelation dc,
-                          DeltaEval(child, input_deltas));
-      const MultisetRelation& c_new = cache_[child];
-      for (const auto& [t, c] : dc.entries()) {
-        int64_t now = c_new.Count(t);
-        int64_t before = now - c;
-        int64_t out_now = now > 0 ? 1 : 0;
-        int64_t out_before = before > 0 ? 1 : 0;
-        delta.Add(t, out_now - out_before);
+      CQ_ASSIGN_OR_RETURN(DeltaList dc, Propagate(child, batch));
+      const ZSetMap& c_new = cache_[child];
+      DeltaBuffer net;
+      for (auto& [t, c] : dc) net.Add(std::move(t), c);
+      for (auto& [t, c] : net.Take()) {
+        const int64_t now = CountIn(c_new, t);
+        const int64_t before = now - c;
+        const int64_t d = (now > 0 ? 1 : 0) - (before > 0 ? 1 : 0);
+        if (d != 0) delta.emplace_back(std::move(t), d);
       }
       break;
     }
@@ -399,10 +582,10 @@ Result<MultisetRelation> IncrementalPlanExecutor::DeltaEval(
     case RelOpKind::kIntersect: {
       const RelOp* l = op->children()[0].get();
       const RelOp* r = op->children()[1].get();
-      CQ_ASSIGN_OR_RETURN(MultisetRelation dl, DeltaEval(l, input_deltas));
-      CQ_ASSIGN_OR_RETURN(MultisetRelation dr, DeltaEval(r, input_deltas));
-      const MultisetRelation& l_new = cache_[l];
-      const MultisetRelation& r_new = cache_[r];
+      CQ_ASSIGN_OR_RETURN(DeltaList dl, Propagate(l, batch));
+      CQ_ASSIGN_OR_RETURN(DeltaList dr, Propagate(r, batch));
+      const ZSetMap& l_new = cache_[l];
+      const ZSetMap& r_new = cache_[r];
       auto clamp = [](int64_t x) { return x > 0 ? x : 0; };
       auto out_count = [&](int64_t lc, int64_t rc) {
         if (op->kind() == RelOpKind::kExcept) {
@@ -410,20 +593,22 @@ Result<MultisetRelation> IncrementalPlanExecutor::DeltaEval(
         }
         return std::min(clamp(lc), clamp(rc));
       };
-      std::set<Tuple> affected;
-      for (const auto& [t, c] : dl.entries()) affected.insert(t);
-      for (const auto& [t, c] : dr.entries()) affected.insert(t);
-      for (const Tuple& t : affected) {
-        int64_t l_now = l_new.Count(t), r_now = r_new.Count(t);
-        int64_t l_before = l_now - dl.Count(t);
-        int64_t r_before = r_now - dr.Count(t);
-        delta.Add(t, out_count(l_now, r_now) - out_count(l_before, r_before));
+      // Net (left, right) change per affected tuple.
+      std::unordered_map<Tuple, std::pair<int64_t, int64_t>> affected;
+      for (auto& [t, c] : dl) affected[std::move(t)].first += c;
+      for (auto& [t, c] : dr) affected[std::move(t)].second += c;
+      for (const auto& [t, d] : affected) {
+        const int64_t l_now = CountIn(l_new, t), r_now = CountIn(r_new, t);
+        const int64_t change = out_count(l_now, r_now) -
+                               out_count(l_now - d.first, r_now - d.second);
+        if (change != 0) delta.emplace_back(t, change);
       }
       break;
     }
   }
   if (cached_nodes_.count(op)) {
-    cache_[op].PlusInPlace(delta);
+    ZSetMap& cache = cache_[op];
+    for (const auto& [t, w] : delta) AddTo(&cache, t, w);
   }
   return delta;
 }
@@ -440,11 +625,32 @@ void CollectPreorder(const RelOp* op, std::vector<const RelOp*>* out) {
   for (const auto& c : op->children()) CollectPreorder(c.get(), out);
 }
 
+/// A hashed container's entries sorted by key, for deterministic encoding.
+template <typename Map>
+std::vector<const typename Map::value_type*> SortedEntries(const Map& m) {
+  std::vector<const typename Map::value_type*> out;
+  out.reserve(m.size());
+  for (const auto& e : m) out.push_back(&e);
+  std::sort(out.begin(), out.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return out;
+}
+
 void EncodeRelationState(const MultisetRelation& rel, std::string* out) {
   EncodeU32(static_cast<uint32_t>(rel.entries().size()), out);
   for (const auto& [t, c] : rel.entries()) {
     EncodeTuple(t, out);
     EncodeI64(c, out);
+  }
+}
+
+/// Same bytes as EncodeRelationState of the equal MultisetRelation.
+void EncodeZSetState(const std::unordered_map<Tuple, int64_t>& zset,
+                     std::string* out) {
+  EncodeU32(static_cast<uint32_t>(zset.size()), out);
+  for (const auto* e : SortedEntries(zset)) {
+    EncodeTuple(e->first, out);
+    EncodeI64(e->second, out);
   }
 }
 
@@ -459,17 +665,25 @@ Result<MultisetRelation> DecodeRelationState(std::string_view* in) {
   return rel;
 }
 
+Status DecodeZSetState(std::string_view* in,
+                       std::unordered_map<Tuple, int64_t>* zset) {
+  CQ_ASSIGN_OR_RETURN(uint32_t n, DecodeU32(in));
+  for (uint32_t i = 0; i < n; ++i) {
+    CQ_ASSIGN_OR_RETURN(Tuple t, DecodeTuple(in));
+    CQ_ASSIGN_OR_RETURN(int64_t c, DecodeI64(in));
+    AddTo(zset, t, c);
+  }
+  return Status::OK();
+}
+
 void EncodeJoinSide(
     const std::unordered_map<Tuple, std::map<Tuple, int64_t>>& side,
     std::string* out) {
-  // Re-sort the hash keys so the bytes are deterministic.
-  std::map<Tuple, const std::map<Tuple, int64_t>*> ordered;
-  for (const auto& [key, bucket] : side) ordered.emplace(key, &bucket);
-  EncodeU32(static_cast<uint32_t>(ordered.size()), out);
-  for (const auto& [key, bucket] : ordered) {
-    EncodeTuple(key, out);
-    EncodeU32(static_cast<uint32_t>(bucket->size()), out);
-    for (const auto& [t, c] : *bucket) {
+  EncodeU32(static_cast<uint32_t>(side.size()), out);
+  for (const auto* e : SortedEntries(side)) {
+    EncodeTuple(e->first, out);
+    EncodeU32(static_cast<uint32_t>(e->second.size()), out);
+    for (const auto& [t, c] : e->second) {
       EncodeTuple(t, out);
       EncodeI64(c, out);
     }
@@ -493,67 +707,77 @@ Status DecodeJoinSide(
   return Status::OK();
 }
 
+/// Encodes node-keyed state in plan preorder: the count, then per node its
+/// preorder index and `encode(state)`.
+template <typename State, typename EncodeFn>
+Status EncodeNodeState(const std::vector<const RelOp*>& nodes,
+                       const std::map<const RelOp*, State>& state,
+                       EncodeFn encode, std::string* out) {
+  EncodeU32(static_cast<uint32_t>(state.size()), out);
+  size_t written = 0;
+  for (uint32_t i = 0; i < nodes.size(); ++i) {
+    auto it = state.find(nodes[i]);
+    if (it == state.end()) continue;
+    EncodeU32(i, out);
+    encode(it->second);
+    ++written;
+  }
+  if (written != state.size()) {
+    return Status::Internal("plan state keyed by a node outside the tree");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::string> IncrementalPlanExecutor::SnapshotState() const {
   std::vector<const RelOp*> nodes;
   CollectPreorder(plan_.get(), &nodes);
-  std::map<const RelOp*, uint32_t> index;
-  for (uint32_t i = 0; i < nodes.size(); ++i) index[nodes[i]] = i;
-  auto index_of = [&](const RelOp* op) -> Result<uint32_t> {
-    auto it = index.find(op);
-    if (it == index.end()) {
-      return Status::Internal("plan state keyed by a node outside the tree");
-    }
-    return it->second;
-  };
 
   std::string out;
   EncodeU32(static_cast<uint32_t>(nodes.size()), &out);
   EncodeRelationState(output_, &out);
 
-  EncodeU32(static_cast<uint32_t>(cache_.size()), &out);
-  for (const auto& [op, rel] : cache_) {  // std::map: pointer-ordered but
-    CQ_ASSIGN_OR_RETURN(uint32_t idx, index_of(op));
-    EncodeU32(idx, &out);  // ...the preorder index makes the KEY stable;
-    EncodeRelationState(rel, &out);
-  }
+  CQ_RETURN_NOT_OK(EncodeNodeState(
+      nodes, cache_, [&](const ZSetMap& rel) { EncodeZSetState(rel, &out); },
+      &out));
 
-  EncodeU32(static_cast<uint32_t>(join_indexes_.size()), &out);
-  for (const auto& [op, ji] : join_indexes_) {
-    CQ_ASSIGN_OR_RETURN(uint32_t idx, index_of(op));
-    EncodeU32(idx, &out);
-    EncodeJoinSide(ji.left, &out);
-    EncodeJoinSide(ji.right, &out);
-  }
+  CQ_RETURN_NOT_OK(EncodeNodeState(
+      nodes, join_indexes_,
+      [&](const JoinIndex& ji) {
+        EncodeJoinSide(ji.left, &out);
+        EncodeJoinSide(ji.right, &out);
+      },
+      &out));
 
-  EncodeU32(static_cast<uint32_t>(agg_indexes_.size()), &out);
-  for (const auto& [op, ai] : agg_indexes_) {
-    CQ_ASSIGN_OR_RETURN(uint32_t idx, index_of(op));
-    EncodeU32(idx, &out);
-    EncodeU32(static_cast<uint32_t>(ai.groups.size()), &out);
-    for (const auto& [key, g] : ai.groups) {
-      EncodeTuple(key, &out);
-      EncodeI64(g.rows, &out);
-      EncodeU32(static_cast<uint32_t>(g.running.size()), &out);
-      for (const AggState& a : g.running) {
-        EncodeI64(a.count, &out);
-        EncodeF64(a.sum, &out);
-        EncodeValue(a.min, &out);
-        EncodeValue(a.max, &out);
-      }
-      EncodeU32(static_cast<uint32_t>(g.ordered.size()), &out);
-      for (const auto& multiset : g.ordered) {
-        EncodeU32(static_cast<uint32_t>(multiset.size()), &out);
-        for (const auto& [v, c] : multiset) {
-          EncodeValue(v, &out);
-          EncodeI64(c, &out);
+  CQ_RETURN_NOT_OK(EncodeNodeState(
+      nodes, agg_indexes_,
+      [&](const AggIndex& ai) {
+        EncodeU32(static_cast<uint32_t>(ai.groups.size()), &out);
+        for (const auto* entry : SortedEntries(ai.groups)) {
+          const GroupState& g = entry->second;
+          EncodeTuple(entry->first, &out);
+          EncodeI64(g.rows, &out);
+          EncodeU32(static_cast<uint32_t>(g.running.size()), &out);
+          for (const AggState& a : g.running) {
+            EncodeI64(a.count, &out);
+            EncodeF64(a.sum, &out);
+            EncodeValue(a.min, &out);
+            EncodeValue(a.max, &out);
+          }
+          EncodeU32(static_cast<uint32_t>(g.ordered.size()), &out);
+          for (const auto& multiset : g.ordered) {
+            EncodeU32(static_cast<uint32_t>(multiset.size()), &out);
+            for (const auto& [v, c] : multiset) {
+              EncodeValue(v, &out);
+              EncodeI64(c, &out);
+            }
+          }
+          out.push_back(g.has_row ? 1 : 0);
+          if (g.has_row) EncodeTuple(g.row, &out);
         }
-      }
-      out.push_back(g.has_row ? 1 : 0);
-      if (g.has_row) EncodeTuple(g.row, &out);
-    }
-  }
+      },
+      &out));
   return out;
 }
 
@@ -582,12 +806,14 @@ Status IncrementalPlanExecutor::RestoreState(std::string_view snapshot) {
   agg_indexes_.clear();
 
   CQ_ASSIGN_OR_RETURN(output_, DecodeRelationState(&in));
+  // An executor that does not maintain its output never reads it.
+  if (!maintain_output_) output_ = MultisetRelation();
 
   CQ_ASSIGN_OR_RETURN(uint32_t ncache, DecodeU32(&in));
   for (uint32_t i = 0; i < ncache; ++i) {
     CQ_ASSIGN_OR_RETURN(uint32_t idx, DecodeU32(&in));
     CQ_ASSIGN_OR_RETURN(const RelOp* op, node_at(idx));
-    CQ_ASSIGN_OR_RETURN(cache_[op], DecodeRelationState(&in));
+    CQ_RETURN_NOT_OK(DecodeZSetState(&in, &cache_[op]));
   }
 
   CQ_ASSIGN_OR_RETURN(uint32_t njoin, DecodeU32(&in));

@@ -4,9 +4,10 @@ namespace cq {
 
 void MultisetRelation::Add(const Tuple& t, int64_t count) {
   if (count == 0) return;
-  auto it = entries_.find(t);
-  if (it == entries_.end()) {
-    entries_.emplace(t, count);
+  // One tree walk: lower_bound finds the entry or the insertion hint.
+  auto it = entries_.lower_bound(t);
+  if (it == entries_.end() || t < it->first) {
+    entries_.emplace_hint(it, t, count);
     return;
   }
   it->second += count;

@@ -184,7 +184,8 @@ PlanDeltaOperator::PlanDeltaOperator(std::string name, RelOpPtr plan,
     : Operator(std::move(name), num_slots),
       output_(output),
       num_slots_(num_slots),
-      exec_(std::move(plan), num_slots),
+      exec_(std::move(plan), num_slots,
+            /*maintain_output=*/output == R2SKind::kRStream),
       pending_(num_slots) {}
 
 Status PlanDeltaOperator::ProcessElement(size_t port,
@@ -195,7 +196,7 @@ Status PlanDeltaOperator::ProcessElement(size_t port,
                                    std::to_string(port));
   }
   CQ_ASSIGN_OR_RETURN(auto split, SplitDeltaTuple(element.tuple));
-  pending_[port].Add(split.first, split.second);
+  pending_[port].Add(std::move(split.first), split.second);
   has_pending_ = true;
   return Status::OK();
 }
@@ -203,19 +204,23 @@ Status PlanDeltaOperator::ProcessElement(size_t port,
 Status PlanDeltaOperator::OnWatermark(Timestamp watermark,
                                       const OperatorContext&, Collector* out) {
   if (!has_pending_) return Status::OK();
-  CQ_ASSIGN_OR_RETURN(MultisetRelation delta, exec_.ApplyDeltas(pending_));
-  for (auto& p : pending_) p = MultisetRelation();
+  std::vector<DeltaList> batch;
+  batch.reserve(num_slots_);
+  for (DeltaBuffer& p : pending_) batch.push_back(p.Take());
   has_pending_ = false;
+  // Consolidated and in ascending tuple order: emission order is the
+  // tuple order, as the R2S operators define it over ordered relations.
+  CQ_ASSIGN_OR_RETURN(DeltaList delta, exec_.Apply(std::move(batch)));
   switch (output_) {
     case R2SKind::kIStream:
-      for (const auto& [row, mult] : delta.entries()) {
+      for (const auto& [row, mult] : delta) {
         for (int64_t i = 0; i < mult; ++i) {
           out->Emit(StreamElement::Record(row, watermark));
         }
       }
       return Status::OK();
     case R2SKind::kDStream:
-      for (const auto& [row, mult] : delta.entries()) {
+      for (const auto& [row, mult] : delta) {
         for (int64_t i = 0; i < -mult; ++i) {
           out->Emit(StreamElement::Record(row, watermark));
         }
@@ -231,11 +236,9 @@ Status PlanDeltaOperator::OnWatermark(Timestamp watermark,
     case R2SKind::kRelation:
       // No R2S operator: deliver the result as a signed changefeed so the
       // subscriber can maintain the relation (InvaliDB-style push view).
-      for (const auto& [row, mult] : delta.entries()) {
-        if (mult != 0) {
-          out->Emit(
-              StreamElement::Record(MakeDeltaTuple(row, mult), watermark));
-        }
+      for (auto& [row, mult] : delta) {
+        row.Append(Value(mult));
+        out->Emit(StreamElement::Record(std::move(row), watermark));
       }
       return Status::OK();
   }
@@ -245,11 +248,19 @@ Status PlanDeltaOperator::OnWatermark(Timestamp watermark,
 Result<std::string> PlanDeltaOperator::SnapshotState() const {
   std::string out;
   EncodeU32(static_cast<uint32_t>(num_slots_), &out);
-  for (const auto& p : pending_) {
-    EncodeU32(static_cast<uint32_t>(p.entries().size()), &out);
-    for (const auto& [t, c] : p.entries()) {
-      EncodeTuple(t, &out);
-      EncodeI64(c, &out);
+  for (const DeltaBuffer& p : pending_) {
+    // Net-nonzero rows in tuple order: the bytes do not depend on the
+    // order the deltas arrived in.
+    std::vector<const std::pair<Tuple, int64_t>*> rows;
+    for (const auto& row : p.rows()) {
+      if (row.second != 0) rows.push_back(&row);
+    }
+    std::sort(rows.begin(), rows.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
+    EncodeU32(static_cast<uint32_t>(rows.size()), &out);
+    for (const auto* row : rows) {
+      EncodeTuple(row->first, &out);
+      EncodeI64(row->second, &out);
     }
   }
   out.push_back(has_pending_ ? 1 : 0);
@@ -267,13 +278,13 @@ Status PlanDeltaOperator::RestoreState(std::string_view snapshot) {
         std::to_string(slots) + " slots, operator has " +
         std::to_string(num_slots_));
   }
-  for (auto& p : pending_) {
-    p = MultisetRelation();
+  for (DeltaBuffer& p : pending_) {
+    p.Take();
     CQ_ASSIGN_OR_RETURN(uint32_t n, DecodeU32(&in));
     for (uint32_t i = 0; i < n; ++i) {
       CQ_ASSIGN_OR_RETURN(Tuple t, DecodeTuple(&in));
       CQ_ASSIGN_OR_RETURN(int64_t c, DecodeI64(&in));
-      p.Add(t, c);
+      p.Add(std::move(t), c);
     }
   }
   if (in.empty()) {
@@ -290,7 +301,9 @@ Status PlanDeltaOperator::RestoreState(std::string_view snapshot) {
 
 size_t PlanDeltaOperator::StateSize() const {
   size_t n = exec_.StateSize();
-  for (const auto& p : pending_) n += p.NumDistinct();
+  for (const DeltaBuffer& p : pending_) {
+    for (const auto& row : p.rows()) n += row.second != 0 ? 1 : 0;
+  }
   return n;
 }
 
@@ -350,8 +363,11 @@ Status SubscriptionSinkOperator::OnWatermark(Timestamp watermark,
     out_tc.parent_span = publish.span_id;
   }
   bool any_closed = false;
-  for (const SubscriptionPtr& sub : subs_) {
-    StreamBatch batch(pending_);  // per-subscription copy
+  for (size_t i = 0; i < subs_.size(); ++i) {
+    const SubscriptionPtr& sub = subs_[i];
+    // Every subscription but the last gets a copy; the last takes pending_.
+    StreamBatch batch = i + 1 < subs_.size() ? StreamBatch(pending_)
+                                             : StreamBatch(std::move(pending_));
     if (tracing) batch.set_trace(out_tc);
     Status st;
     if (!sub->channel_.TryPush(&batch, &st)) {

@@ -99,13 +99,16 @@ class WindowDeltaOperator : public Operator {
 
 /// \brief Residual R2R plan + R2S output as a streaming operator.
 ///
-/// Consumes per-slot window deltas (one input port per slot), buffers them,
-/// and on each watermark advance applies the batch through an
+/// Consumes per-slot window deltas (one input port per slot), buffers them
+/// in hashed per-slot DeltaBuffers (a +1 and a -1 for the same tuple cancel
+/// on arrival), and on each watermark advance moves the batch through an
 /// IncrementalPlanExecutor — per-update cost proportional to what the update
 /// touches — then emits the R2S rendering of the output change at that
-/// instant: IStream emits insertions, DStream deletions, RStream the whole
-/// instantaneous result, and kRelation a signed changefeed (delta tuples
-/// with the trailing sign column, like its inputs).
+/// instant, in ascending tuple order: IStream emits insertions, DStream
+/// deletions, RStream the whole instantaneous result, and kRelation a signed
+/// changefeed (delta tuples with the trailing sign column, like its inputs).
+/// Only RStream reads the accumulated result, so only an RStream operator
+/// has its executor maintain it.
 class PlanDeltaOperator : public Operator {
  public:
   PlanDeltaOperator(std::string name, RelOpPtr plan, size_t num_slots,
@@ -127,15 +130,11 @@ class PlanDeltaOperator : public Operator {
   size_t StateBytesApprox() const override;
   bool IsStateless() const override { return false; }
 
-  const MultisetRelation& current_output() const {
-    return exec_.current_output();
-  }
-
  private:
   R2SKind output_;
   size_t num_slots_;
   IncrementalPlanExecutor exec_;
-  std::vector<MultisetRelation> pending_;  // per-slot buffered deltas
+  std::vector<DeltaBuffer> pending_;  // per-slot buffered deltas
   bool has_pending_ = false;
 };
 

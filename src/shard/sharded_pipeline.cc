@@ -410,6 +410,14 @@ Status ShardedPipeline::ProcessEnvelope(size_t stage, size_t shard,
           st = MergeWatermark(t, producer, elems[a].timestamp);
           ++a;
         } else {
+          // Alignment needs a barrier from every producer, and one that
+          // has already closed can never deliver it: fail instead of
+          // parking this input behind an epoch that cannot complete.
+          if (std::find(t.input_done.begin(), t.input_done.end(), char{1}) !=
+              t.input_done.end()) {
+            st = Status::Internal("input closed during barrier alignment");
+            break;
+          }
           // Producers place a barrier as the last element of its envelope,
           // so parking this input here cannot reorder data behind it.
           t.barriered[producer] = 1;

@@ -65,9 +65,26 @@ class Tuple {
   bool operator<(const Tuple& other) const { return Compare(other) < 0; }
 
   uint64_t Hash() const {
-    size_t h = 0x51ed270b;
+    size_t h = kHashSeed;
     for (const auto& v : values_) h = HashCombine(h, v.Hash());
     return h;
+  }
+
+  /// \brief Project(indexes).Hash(), without building the projection.
+  uint64_t ProjectedHash(const std::vector<size_t>& indexes) const {
+    size_t h = kHashSeed;
+    for (size_t i : indexes) h = HashCombine(h, values_[i].Hash());
+    return h;
+  }
+
+  /// \brief Project(indexes) == other, without building the projection.
+  bool ProjectionEquals(const std::vector<size_t>& indexes,
+                        const Tuple& other) const {
+    if (indexes.size() != other.size()) return false;
+    for (size_t i = 0; i < indexes.size(); ++i) {
+      if (values_[indexes[i]].Compare(other.values_[i]) != 0) return false;
+    }
+    return true;
   }
 
   /// \brief "(v1, v2, ...)".
@@ -82,6 +99,8 @@ class Tuple {
   }
 
  private:
+  static constexpr size_t kHashSeed = 0x51ed270b;
+
   std::vector<Value> values_;
 };
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <set>
 
 #include "cql/continuous_query.h"
+#include "service/operators.h"
 #include "workload/generators.h"
 
 namespace cq {
@@ -256,6 +259,277 @@ TEST_P(IncrementalExecutorTest, MatchesRecomputeOnRandomUpdates) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalExecutorTest,
                          ::testing::Values(1, 7, 99, 1234));
+
+// --- Delta path: random plans against consecutive reference results ---
+
+/// A generated plan over two (k, v) inputs, with what its columns can hold.
+struct GenPlan {
+  RelOpPtr plan;
+  bool ints = true;   // every value is INT64 or NULL-free integral (MOD ok)
+  bool exact = true;  // no fractional values: SUM stays exact on retraction
+};
+
+constexpr int kNumRelOpKinds = 10;
+constexpr int kNumAggKinds = 5;
+
+std::vector<Field> KVFields() {
+  return {{"k", ValueType::kInt64}, {"v", ValueType::kInt64}};
+}
+
+GenPlan PairOf(RelOpPtr child, ExprPtr a, ExprPtr b, bool ints, bool exact) {
+  return {*RelOp::Project(std::move(child), {std::move(a), std::move(b)},
+                          KVFields()),
+          ints, exact};
+}
+
+/// A random arity-2 plan of at most `depth` operators above the scans whose
+/// root is RelOpKind `kind`; aggregates cycle through every kind.
+GenPlan RandomPlan(std::mt19937_64* rng, int depth, int kind,
+                   int* agg_cursor) {
+  auto pick = [&](int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(*rng);
+  };
+  if (depth == 0 || kind == static_cast<int>(RelOpKind::kScan)) {
+    return {RelOp::Scan(static_cast<size_t>(pick(2)), KV())};
+  }
+  auto child = [&] {
+    return RandomPlan(rng, depth - 1, pick(kNumRelOpKinds), agg_cursor);
+  };
+  switch (static_cast<RelOpKind>(kind)) {
+    case RelOpKind::kScan:
+      break;
+    case RelOpKind::kSelect: {
+      GenPlan c = child();
+      c.plan = *RelOp::Select(c.plan, Gt(Col(1), Lit(int64_t{pick(4)})));
+      return c;
+    }
+    case RelOpKind::kProject: {
+      GenPlan c = child();
+      if (c.ints) {  // not injective: distinct inputs collide
+        return PairOf(c.plan, Col(0), Bin(BinaryOp::kMod, Col(1), Lit(int64_t{2})),
+                      true, c.exact);
+      }
+      return PairOf(c.plan, Col(1), Col(0), c.ints, c.exact);
+    }
+    case RelOpKind::kJoin: {
+      GenPlan l = child(), r = child();
+      return PairOf(*RelOp::Join(l.plan, r.plan, {0}, {0}), Col(0), Col(3),
+                    l.ints && r.ints, l.exact && r.exact);
+    }
+    case RelOpKind::kThetaJoin: {
+      GenPlan l = child(), r = child();
+      return PairOf(*RelOp::ThetaJoin(l.plan, r.plan, Lt(Col(1), Col(3))),
+                    Col(2), Col(1), l.ints && r.ints, l.exact && r.exact);
+    }
+    case RelOpKind::kAggregate: {
+      GenPlan c = child();
+      auto agg = static_cast<AggregateKind>((*agg_cursor)++ % kNumAggKinds);
+      if (!c.exact &&
+          (agg == AggregateKind::kSum || agg == AggregateKind::kAvg)) {
+        agg = AggregateKind::kCount;
+      }
+      const bool count = agg == AggregateKind::kCount;
+      const bool minmax =
+          agg == AggregateKind::kMin || agg == AggregateKind::kMax;
+      std::vector<AggSpec> aggs;
+      aggs.push_back({agg, count ? nullptr : Col(1), "a"});
+      const bool exact = c.exact && agg != AggregateKind::kAvg;
+      if (pick(4) == 0) {  // global: the identity row, NULL MIN/MAX
+        return PairOf(*RelOp::Aggregate(c.plan, {}, aggs), Col(0), Col(0),
+                      count, exact);
+      }
+      return {*RelOp::Aggregate(c.plan, {0}, aggs),
+              count || (minmax && c.ints), exact};
+    }
+    case RelOpKind::kDistinct: {
+      GenPlan c = child();
+      c.plan = *RelOp::Distinct(c.plan);
+      return c;
+    }
+    case RelOpKind::kUnion:
+    case RelOpKind::kExcept:
+    case RelOpKind::kIntersect: {
+      GenPlan l = child(), r = child();
+      RelOpPtr op =
+          kind == static_cast<int>(RelOpKind::kUnion) ? *RelOp::Union(l.plan, r.plan)
+          : kind == static_cast<int>(RelOpKind::kExcept)
+              ? *RelOp::Except(l.plan, r.plan)
+              : *RelOp::Intersect(l.plan, r.plan);
+      return {op, l.ints && r.ints, l.exact && r.exact};
+    }
+  }
+  return {RelOp::Scan(0, KV())};
+}
+
+void CollectKinds(const RelOp* op, std::set<RelOpKind>* kinds,
+                  std::set<AggregateKind>* aggs) {
+  kinds->insert(op->kind());
+  if (op->kind() == RelOpKind::kAggregate) {
+    for (const AggSpec& a : op->aggs()) aggs->insert(a.kind);
+  }
+  for (const auto& c : op->children()) CollectKinds(c.get(), kinds, aggs);
+}
+
+class DeltaPathTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DeltaPathTest, DeltaEqualsDifferenceOfConsecutiveReferenceResults) {
+  std::mt19937_64 rng(GetParam());
+  auto pick = [&](int n) {
+    return static_cast<int64_t>(
+        std::uniform_int_distribution<int>(0, n - 1)(rng));
+  };
+  constexpr Timestamp kInstants = 24;
+  BoundedStream s0, s1;
+  for (Timestamp ts = 1; ts <= kInstants; ++ts) {
+    for (BoundedStream* s : {&s0, &s1}) {
+      for (int64_t n = pick(3); n > 0; --n) s->Append(T2(pick(3), pick(5)), ts);
+    }
+  }
+  const std::vector<const BoundedStream*> inputs{&s0, &s1};
+  const std::vector<S2RSpec> windows{S2RSpec::Range(3), S2RSpec::Rows(2)};
+
+  // Per-instant window deltas: what a window operator feeds the plan.
+  std::vector<std::vector<MultisetRelation>> window_deltas(
+      kInstants + 1, std::vector<MultisetRelation>(2));
+  for (size_t slot = 0; slot < 2; ++slot) {
+    MultisetRelation before;
+    for (Timestamp tau = 1; tau <= kInstants; ++tau) {
+      MultisetRelation now = *ApplyS2R(*inputs[slot], windows[slot], tau);
+      window_deltas[tau][slot] = now.Minus(before);
+      before = std::move(now);
+    }
+  }
+
+  std::set<RelOpKind> kinds;
+  std::set<AggregateKind> agg_kinds;
+  int agg_cursor = 0;
+  for (int p = 0; p < 4 * kNumRelOpKinds; ++p) {
+    GenPlan gen = RandomPlan(&rng, 3, p % kNumRelOpKinds, &agg_cursor);
+    CollectKinds(gen.plan.get(), &kinds, &agg_kinds);
+    ContinuousQuery q;
+    q.input_windows = windows;
+    q.plan = gen.plan;
+    IncrementalPlanExecutor inc(gen.plan, 2);
+    MultisetRelation previous;  // the executor starts from the empty result
+    for (Timestamp tau = 1; tau <= kInstants; ++tau) {
+      MultisetRelation current = *ReferenceExecutor::ResultAt(q, inputs, tau);
+      MultisetRelation expected = current.Minus(previous);
+      MultisetRelation got;
+      if (tau % 2 == 0) {
+        got = *inc.ApplyDeltas(window_deltas[tau]);
+      } else {
+        // The flat path, with rows that cancel inside the batch: every
+        // delta split into (t, c + 1) and (t, -1), plus a +t/-t pair.
+        std::vector<DeltaList> lists(2);
+        for (size_t slot = 0; slot < 2; ++slot) {
+          for (const auto& [t, c] : window_deltas[tau][slot].entries()) {
+            lists[slot].emplace_back(t, c + 1);
+            lists[slot].emplace_back(t, -1);
+          }
+          Tuple noise = T2(pick(3), pick(5));
+          lists[slot].emplace_back(noise, 1);
+          lists[slot].emplace_back(noise, -1);
+          std::shuffle(lists[slot].begin(), lists[slot].end(), rng);
+        }
+        auto delta = inc.Apply(std::move(lists));
+        ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+        for (size_t i = 0; i < delta->size(); ++i) {
+          ASSERT_NE((*delta)[i].second, 0);
+          if (i > 0) {
+            ASSERT_TRUE((*delta)[i - 1].first < (*delta)[i].first);
+          }
+          got.Add((*delta)[i].first, (*delta)[i].second);
+        }
+      }
+      ASSERT_EQ(got, expected) << "tau " << tau << "\n" << gen.plan->ToString();
+      ASSERT_EQ(inc.current_output(), current)
+          << "tau " << tau << "\n" << gen.plan->ToString();
+      previous = std::move(current);
+    }
+  }
+  EXPECT_EQ(kinds.size(), static_cast<size_t>(kNumRelOpKinds));
+  EXPECT_EQ(agg_kinds.size(), static_cast<size_t>(kNumAggKinds));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DeltaPathTest,
+                         ::testing::Values(3, 17, 2024, 777777));
+
+TEST(PlanDeltaOperatorTest, SnapshotStateIsIndependentOfArrivalOrder) {
+  // Join index, a node cache (Distinct's child) and hashed aggregation
+  // groups with MIN/MAX multisets: every piece of hashed state.
+  auto scan0 = RelOp::Scan(0, KV());
+  auto scan1 = RelOp::Scan(1, KV());
+  std::vector<AggSpec> aggs;
+  aggs.push_back({AggregateKind::kCount, nullptr, "c"});
+  aggs.push_back({AggregateKind::kSum, Col(1), "s"});
+  aggs.push_back({AggregateKind::kMin, Col(1), "lo"});
+  aggs.push_back({AggregateKind::kMax, Col(3), "hi"});
+  auto agg = *RelOp::Aggregate(*RelOp::Join(scan0, scan1, {0}, {0}), {0},
+                               aggs);
+  auto plan = *RelOp::Distinct(*RelOp::Union(
+      *RelOp::Project(agg, {Col(0), Col(4)}, KVFields()), scan0));
+
+  // Four intervals of signed deltas; the last stays pending (unflushed).
+  std::mt19937_64 rng(5);
+  auto pick = [&](int n) {
+    return static_cast<int64_t>(
+        std::uniform_int_distribution<int>(0, n - 1)(rng));
+  };
+  struct Event {
+    size_t port;
+    Tuple delta;
+  };
+  std::vector<std::vector<Event>> intervals(4);
+  for (auto& events : intervals) {
+    for (int i = 0; i < 60; ++i) {
+      Tuple t = T2(pick(20), pick(7));
+      const size_t port = static_cast<size_t>(pick(2));
+      events.push_back({port, MakeDeltaTuple(t, 1)});
+      if (pick(3) == 0) events.push_back({port, MakeDeltaTuple(t, -1)});
+    }
+  }
+
+  PlanDeltaOperator forward("forward", plan, 2, R2SKind::kRelation);
+  PlanDeltaOperator backward("backward", plan, 2, R2SKind::kRelation);
+  std::vector<StreamElement> out_forward, out_backward;
+  VectorCollector collect_forward(&out_forward);
+  VectorCollector collect_backward(&out_backward);
+  OperatorContext ctx;
+  for (size_t i = 0; i < intervals.size(); ++i) {
+    const auto& events = intervals[i];
+    for (const Event& e : events) {
+      ASSERT_TRUE(forward
+                      .ProcessElement(e.port, StreamElement::Record(e.delta, 0),
+                                      ctx, &collect_forward)
+                      .ok());
+    }
+    for (auto it = events.rbegin(); it != events.rend(); ++it) {
+      ASSERT_TRUE(backward
+                      .ProcessElement(it->port,
+                                      StreamElement::Record(it->delta, 0), ctx,
+                                      &collect_backward)
+                      .ok());
+    }
+    if (i + 1 == intervals.size()) break;
+    const Timestamp wm = static_cast<Timestamp>(10 * (i + 1));
+    ASSERT_TRUE(forward.OnWatermark(wm, ctx, &collect_forward).ok());
+    ASSERT_TRUE(backward.OnWatermark(wm, ctx, &collect_backward).ok());
+  }
+  ASSERT_FALSE(out_forward.empty());
+  ASSERT_EQ(out_forward.size(), out_backward.size());
+  for (size_t i = 0; i < out_forward.size(); ++i) {
+    EXPECT_EQ(out_forward[i].tuple, out_backward[i].tuple) << i;
+    EXPECT_EQ(out_forward[i].timestamp, out_backward[i].timestamp) << i;
+  }
+
+  std::string a = *forward.SnapshotState();
+  std::string b = *backward.SnapshotState();
+  EXPECT_EQ(a, b);
+  // And the image round-trips to the same bytes.
+  PlanDeltaOperator restored("restored", plan, 2, R2SKind::kRelation);
+  ASSERT_TRUE(restored.RestoreState(a).ok());
+  EXPECT_EQ(*restored.SnapshotState(), a);
+}
 
 TEST(ContinuousQueryTest, ToStringDescribesQuery) {
   RoomWorkload w = MakeRoomWorkload(2, 5, 2, 0.0, 0, 1);

@@ -335,6 +335,48 @@ TEST(ServiceResultTest, MatchesReferenceExecutor) {
   EXPECT_EQ(Canon(got), Canon(want));
 }
 
+TEST(ServiceResultTest, WatermarkRowsEmitInAscendingTupleOrder) {
+  // Groups arrive in descending symbol order and change in a scattered
+  // order; the plan's hashed state must not leak into emission order.
+  QueryService svc(TradesCatalog());
+  auto id = svc.RegisterQuery(
+      "SELECT sym, SUM(qty) AS total FROM trades [Range 100] GROUP BY sym");
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto sub = *svc.Subscribe(*id);
+
+  const std::vector<std::string> syms = {"z", "x", "t", "p", "m", "k",
+                                         "h", "e", "c", "a"};
+  Timestamp ts = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (size_t i = 0; i < syms.size(); ++i) {
+      const std::string& sym = syms[(i * 7 + round * 3) % syms.size()];
+      ++ts;
+      ASSERT_TRUE(svc.PushRecord("trades",
+                                 Trade(sym.c_str(), 20, 1 + (ts % 4)), ts)
+                      .ok());
+    }
+    ASSERT_TRUE(svc.PushWatermark("trades", ts).ok());
+  }
+
+  size_t batches = 0;
+  StreamBatch batch;
+  while (sub->TryPoll(&batch)) {
+    std::vector<Tuple> rows;
+    for (const auto& e : batch) {
+      if (e.is_record()) rows.push_back(e.tuple);
+    }
+    if (rows.empty()) continue;
+    ++batches;
+    // Each round touches every group: -old and +new rows for all ten.
+    EXPECT_GE(rows.size(), syms.size());
+    for (size_t i = 1; i < rows.size(); ++i) {
+      EXPECT_TRUE(rows[i - 1] < rows[i])
+          << rows[i - 1].ToString() << " before " << rows[i].ToString();
+    }
+  }
+  EXPECT_EQ(batches, 3u);
+}
+
 // --- Drop (acceptance: mid-stream drop leaves survivors byte-identical) ---
 
 TEST(ServiceDropTest, DropLeavesSurvivorsIdenticalToBaseline) {

@@ -4,9 +4,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <condition_variable>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -316,6 +318,96 @@ TEST_F(ShardRecoveryTest, CrashRecoveryAfterRealProcessDeath) {
 }
 
 // --- sharded service restore -----------------------------------------------
+
+/// Holds the task thread that delivers a record inside ProcessElement until
+/// the test releases it, so channel events can be lined up behind a busy
+/// task without relying on timing.
+class Gate {
+ public:
+  void Park() {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+  }
+  void WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+/// Forwards records and requires its input partitioned by `key`; with a
+/// gate, parks on every record.
+class KeyedForward : public Operator {
+ public:
+  KeyedForward(std::vector<size_t> key, std::shared_ptr<Gate> gate)
+      : Operator("keyed-forward"), key_(std::move(key)), gate_(std::move(gate)) {}
+  Status ProcessElement(size_t, const StreamElement& element,
+                        const OperatorContext&, Collector* out) override {
+    if (gate_ != nullptr) gate_->Park();
+    out->Emit(element);
+    return Status::OK();
+  }
+  std::vector<size_t> PartitionKeyColumns(size_t) const override {
+    return key_;
+  }
+
+ private:
+  std::vector<size_t> key_;
+  std::shared_ptr<Gate> gate_;
+};
+
+TEST_F(ShardRecoveryTest, BarrierAfterAProducerClosedFailsInsteadOfHanging) {
+  // Regression: a multi-input task skipped barriered inputs entirely, so
+  // once a producer had closed (a failed upstream task) and every surviving
+  // producer had delivered its barrier, alignment waited forever on the
+  // closed one and Finish() never returned.
+  auto gate = std::make_shared<Gate>();
+  ShardedPipeline pipeline(
+      2,
+      [gate](size_t) -> Result<std::vector<std::unique_ptr<Operator>>> {
+        std::vector<std::unique_ptr<Operator>> ops;
+        ops.push_back(std::make_unique<KeyedForward>(std::vector<size_t>{0},
+                                                     nullptr));
+        ops.push_back(
+            std::make_unique<KeyedForward>(std::vector<size_t>{1}, gate));
+        return ops;
+      },
+      {});
+  ASSERT_TRUE(pipeline.Start().ok());
+  ASSERT_EQ(pipeline.num_stages(), 2u);
+
+  // Stage-1 task 0 parks on a record from producer 1. While it is parked,
+  // producer 0 closes and producer 1 delivers a barrier. The round-robin
+  // poll resumes after input 1, so the task sees input 0 close first and
+  // only then the barrier: the order that used to hang.
+  StreamBatch record;
+  record.Add(StreamElement::Record(T2(1, 1), 1));
+  ASSERT_TRUE(pipeline.input_channel(1, 0, 1)->Push(std::move(record)).ok());
+  gate->WaitEntered();
+  pipeline.input_channel(1, 0, 0)->Close();
+  StreamBatch barrier;
+  barrier.Add(StreamElement::Barrier(1));
+  ASSERT_TRUE(pipeline.input_channel(1, 0, 1)->Push(std::move(barrier)).ok());
+  gate->Release();
+
+  auto finished = pipeline.Finish();
+  ASSERT_FALSE(finished.ok());
+  EXPECT_NE(finished.status().ToString().find("barrier alignment"),
+            std::string::npos)
+      << finished.status().ToString();
+}
 
 TEST_F(ShardRecoveryTest, ServiceRestoresSameShardCountOnly) {
   auto schema = Schema::Make({{"sym", ValueType::kString},
