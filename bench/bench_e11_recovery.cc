@@ -23,13 +23,13 @@
 
 #include "bench_util.h"
 #include "dataflow/operators.h"
-#include "dataflow/parallel.h"
 #include "dataflow/window_operator.h"
 #include "ft/coordinator.h"
 #include "ft/recovery.h"
 #include "ft/snapshot_store.h"
 #include "queue/broker.h"
 #include "runtime/driver.h"
+#include "shard/sharded_pipeline.h"
 
 namespace cq {
 namespace {
@@ -47,24 +47,16 @@ double MsSince(Clock::time_point start) {
       .count();
 }
 
-ParallelPipeline::Factory WindowedSumFactory() {
-  return [](size_t) -> Result<WorkerPipeline> {
+shard::ShardedPipeline::ChainFactory WindowedSumChain() {
+  return [](size_t) -> Result<std::vector<std::unique_ptr<Operator>>> {
     WindowedAggregateConfig cfg;
     cfg.assigner = std::make_shared<TumblingWindowAssigner>(50);
     cfg.key_indexes = {0};
     cfg.aggs.push_back({AggregateKind::kSum, Col(1), "sum"});
-    WorkerPipeline p;
-    p.output = std::make_unique<BoundedStream>();
-    auto g = std::make_unique<DataflowGraph>();
-    p.source = g->AddNode(std::make_unique<PassThroughOperator>("src"));
-    NodeId win = g->AddNode(
+    std::vector<std::unique_ptr<Operator>> ops;
+    ops.push_back(
         std::make_unique<WindowedAggregateOperator>("win", std::move(cfg)));
-    NodeId sink = g->AddNode(
-        std::make_unique<CollectSinkOperator>("sink", p.output.get()));
-    CQ_RETURN_NOT_OK(g->Connect(p.source, win));
-    CQ_RETURN_NOT_OK(g->Connect(win, sink));
-    p.executor = std::make_unique<PipelineExecutor>(std::move(g));
-    return p;
+    return ops;
   };
 }
 
@@ -113,8 +105,7 @@ RecoveryRun RunScenario(int64_t interval_records) {
   // Phase 1: consume until the crash point, checkpointing every
   // `interval_records` consumed records.
   {
-    ParallelPipeline pipeline(kParallelism, WindowedSumFactory(),
-                              ProjectKeyFn({0}));
+    shard::ShardedPipeline pipeline(kParallelism, WindowedSumChain(), {0});
     BrokerSourceDriver driver(&broker, "tx", "bench");
     ft::CheckpointCoordinator coord(&pipeline, &store);
     coord.SetOffsetsProvider([&driver] { return driver.Offsets(); });
@@ -153,8 +144,7 @@ RecoveryRun RunScenario(int64_t interval_records) {
   // Phase 2: recovery. A fresh pipeline restores the newest durable epoch,
   // rewinds the source, then replays the lost window plus the stream tail.
   {
-    ParallelPipeline pipeline(kParallelism, WindowedSumFactory(),
-                              ProjectKeyFn({0}));
+    shard::ShardedPipeline pipeline(kParallelism, WindowedSumChain(), {0});
     BrokerSourceDriver driver(&broker, "tx", "bench");
     (void)pipeline.Start();
     ft::RecoveryManager recovery(&store);

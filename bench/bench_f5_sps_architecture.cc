@@ -2,8 +2,8 @@
 /// \brief F5 — Fig. 5: the abstract streaming-system architecture.
 ///
 /// Two series:
-///  (a) keyed parallelism scaling — throughput of the actor-style parallel
-///      pipeline (queue -> router -> P workers with keyed state) as P grows;
+///  (a) keyed parallelism scaling — throughput of a one-stage sharded
+///      pipeline (router -> P shard tasks with keyed state) as P grows;
 ///  (b) the state-backend trade-off — the same windowed aggregation with
 ///      in-memory hash state vs. the embedded KV store (RocksDB stand-in).
 
@@ -11,8 +11,8 @@
 
 #include "bench_util.h"
 #include "dataflow/operators.h"
-#include "dataflow/parallel.h"
 #include "dataflow/window_operator.h"
+#include "shard/sharded_pipeline.h"
 #include "workload/generators.h"
 
 namespace cq {
@@ -26,27 +26,19 @@ TransactionWorkload& Workload() {
   return w;
 }
 
-ParallelPipeline::Factory WorkerFactory() {
-  return [](size_t) -> Result<WorkerPipeline> {
+/// Per-shard chain: filter, then keyed windowed SUM by account (column 1).
+shard::ShardedPipeline::ChainFactory ShardChain() {
+  return [](size_t) -> Result<std::vector<std::unique_ptr<Operator>>> {
     WindowedAggregateConfig cfg;
     cfg.assigner = std::make_shared<TumblingWindowAssigner>(128);
     cfg.key_indexes = {1};
     cfg.aggs.push_back({AggregateKind::kSum, Col(2), "total"});
-    WorkerPipeline p;
-    p.output = std::make_unique<BoundedStream>();
-    auto g = std::make_unique<DataflowGraph>();
-    p.source = g->AddNode(std::make_unique<PassThroughOperator>("src"));
-    NodeId filter = g->AddNode(std::make_unique<FilterOperator>(
-        "hot", Gt(Col(2), Lit(10.0))));
-    NodeId win = g->AddNode(
+    std::vector<std::unique_ptr<Operator>> ops;
+    ops.push_back(
+        std::make_unique<FilterOperator>("hot", Gt(Col(2), Lit(10.0))));
+    ops.push_back(
         std::make_unique<WindowedAggregateOperator>("win", std::move(cfg)));
-    NodeId sink = g->AddNode(
-        std::make_unique<CollectSinkOperator>("sink", p.output.get()));
-    CQ_RETURN_NOT_OK(g->Connect(p.source, filter));
-    CQ_RETURN_NOT_OK(g->Connect(filter, win));
-    CQ_RETURN_NOT_OK(g->Connect(win, sink));
-    p.executor = std::make_unique<PipelineExecutor>(std::move(g));
-    return p;
+    return ops;
   };
 }
 
@@ -55,8 +47,7 @@ void BM_KeyedParallelismScaling(benchmark::State& state) {
   const size_t parallelism = static_cast<size_t>(state.range(0));
   size_t results = 0;
   for (auto _ : state) {
-    ParallelPipeline pipeline(parallelism, WorkerFactory(),
-                              ProjectKeyFn({1}));
+    shard::ShardedPipeline pipeline(parallelism, ShardChain(), {1});
     benchmark::DoNotOptimize(pipeline.Start());
     for (const auto& e : w.transactions) {
       if (!e.is_record()) continue;

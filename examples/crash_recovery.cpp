@@ -2,7 +2,7 @@
 /// \brief Crash recovery walkthrough: epoch checkpoints, fault injection,
 /// and effectively-once output (§5 fault tolerance).
 ///
-/// The scenario: a keyed parallel pipeline consumes a broker topic through
+/// The scenario: a keyed sharded pipeline consumes a broker topic through
 /// fenced epoch sinks, checkpointing every other poll. Mid-run a fault is
 /// injected — by default the offset commit fails; override the site with
 /// CQ_FAULT="<point>:<after>:fail" (e.g.
@@ -17,12 +17,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "dataflow/operators.h"
-#include "dataflow/parallel.h"
 #include "ft/coordinator.h"
 #include "ft/fault.h"
 #include "ft/fence.h"
@@ -30,6 +29,7 @@
 #include "ft/snapshot_store.h"
 #include "queue/broker.h"
 #include "runtime/driver.h"
+#include "shard/sharded_pipeline.h"
 
 using namespace cq;
 namespace fs = std::filesystem;
@@ -48,20 +48,14 @@ void FillBroker(Broker* broker) {
   }
 }
 
-/// Per-worker pipeline: pass-through into a fenced epoch sink. The sinks
-/// stage their buffers into the checkpoint image; the coordinator publishes
-/// from the durable image, so nobody needs the raw sink pointers.
-ParallelPipeline::Factory MakeFactory(ft::DurableOutputLog* log) {
-  return [log](size_t index) -> Result<WorkerPipeline> {
-    WorkerPipeline p;
-    p.output = std::make_unique<BoundedStream>();
-    auto g = std::make_unique<DataflowGraph>();
-    p.source = g->AddNode(std::make_unique<PassThroughOperator>("src"));
-    NodeId sink_id = g->AddNode(
-        std::make_unique<ft::EpochSinkOperator>("sink", log, index));
-    CQ_RETURN_NOT_OK(g->Connect(p.source, sink_id));
-    p.executor = std::make_unique<PipelineExecutor>(std::move(g));
-    return p;
+/// Per-shard chain: one fenced epoch sink. The sinks stage their buffers
+/// into the checkpoint image; the coordinator publishes from the durable
+/// image, so nobody needs the raw sink pointers.
+shard::ShardedPipeline::ChainFactory MakeChain(ft::DurableOutputLog* log) {
+  return [log](size_t shard) -> Result<std::vector<std::unique_ptr<Operator>>> {
+    std::vector<std::unique_ptr<Operator>> ops;
+    ops.push_back(std::make_unique<ft::EpochSinkOperator>("sink", log, shard));
+    return ops;
   };
 }
 
@@ -75,8 +69,7 @@ Status RunOnce(Broker* broker, const std::string& snap_dir,
   ft::SnapshotStore store(snap_dir);
   CQ_RETURN_NOT_OK(store.Init());
 
-  ParallelPipeline pipeline(kParallelism, MakeFactory(&log),
-                            ProjectKeyFn({0}));
+  shard::ShardedPipeline pipeline(kParallelism, MakeChain(&log), {0});
   BrokerSourceDriver driver(broker, "tx", "demo");
 
   ft::CheckpointCoordinator coord(&pipeline, &store);

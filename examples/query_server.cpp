@@ -7,7 +7,9 @@
 ///   query_server                 in-process demo: registers two queries that
 ///                                share a prefix, streams trades through the
 ///                                shared graph, prints pushed results and the
-///                                sharing metrics.
+///                                sharing metrics. It drives the same
+///                                net::ServiceBackend verbs that serve mode
+///                                dispatches protocol commands into.
 ///
 ///     --checkpoint-dir DIR       make the demo durable: fence each query's
 ///                                output through an idempotent output log in
@@ -78,9 +80,8 @@
 ///     stop accepting, flush every subscriber feed, checkpoint (publishing
 ///     staged fence frames), close, exit 0.
 ///
-///   Either mode accepts `--http PORT` (0 = ephemeral), which starts the
-///   embedded thread-based observability endpoint on 127.0.0.1 with the same
-///   four routes.
+///   A numeric flag that is not wholly a number in range (port 0-65535,
+///   shards >= 1) prints the usage line and exits 2.
 ///
 ///   Errors come back as a single "ERR <status>" frame; the connection
 ///   survives them. Try it with a few lines of Python:
@@ -94,12 +95,16 @@
 ///     send(s, "REGISTER SELECT sym FROM trades [Range 100] WHERE price > 10")
 ///     print(recv(s))
 
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <map>
+#include <functional>
+#include <limits>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ft/coordinator.h"
@@ -110,7 +115,6 @@
 #include "net/quotas.h"
 #include "net/server.h"
 #include "obs/flight_recorder.h"
-#include "obs/http.h"
 #include "obs/trace.h"
 #include "service/service.h"
 #include "shard/sharded_service.h"
@@ -119,21 +123,19 @@
 namespace cq {
 namespace {
 
-// --- Shared: building the service -----------------------------------------
-
 // Set from --optimizer-rules (e.g. "none", "all,-fuse", "pushdown"); the
 // default enables every rule. Applied to every service this binary builds.
 OptimizerOptions g_optimizer;
 
-std::unique_ptr<QueryService> MakeService(MetricsRegistry* registry,
-                                          TraceRecorder* tracer) {
-  ServiceConfig config;
-  config.metrics = registry;
-  config.tracer = tracer;
-  config.trace_sample_every = 1;
-  config.optimizer = g_optimizer;
-  return std::make_unique<QueryService>(Catalog{}, config);
-}
+struct Options {
+  bool serve = false;
+  uint16_t port = 7878;
+  size_t shards = 1;
+  std::string checkpoint_dir;
+  bool recover = false;
+  /// name -> quota ("*" = default quota).
+  std::vector<std::pair<std::string, net::TenantQuota>> quotas;
+};
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -166,109 +168,135 @@ std::string QueriesJson(const std::vector<QueryInfo>& queries) {
   return out + "]";
 }
 
-/// Registers the four observability routes and starts the listener.
-/// `http_port` < 0 means "no endpoint": returns OK without starting.
-Status StartHttp(HttpEndpoint* http, int http_port, MetricsRegistry* registry,
-                 TraceRecorder* tracer,
-                 std::function<std::string()> queries_json) {
-  if (http_port < 0) return Status::OK();
-  http->AddHandler("/metrics", "text/plain; version=0.0.4", [registry] {
-    return registry->Dump(MetricsFormat::kText);
-  });
-  http->AddHandler("/queries", "application/json", std::move(queries_json));
-  http->AddHandler("/traces", "application/json",
-                   [tracer] { return tracer->ToJson(); });
-  http->AddHandler("/flightrecorder", "application/json",
-                   [] { return FlightRecorder::Global().ToJson(); });
-  Status st = http->Start(static_cast<uint16_t>(http_port));
-  if (st.ok()) {
-    std::printf("observability endpoint on http://127.0.0.1:%u "
-                "(/metrics /queries /traces /flightrecorder)\n",
-                http->port());
+// --- Shared: the service and its durability rig ---------------------------
+
+/// What every mode runs against: one QueryService behind LocalBackend, or N
+/// replicas behind ShardedBackend. With a checkpoint dir, a snapshot store
+/// and barrier coordinator wrap the service; only the local service also
+/// fences its output through an idempotent output log (the sharded one
+/// checkpoints state only).
+struct Service {
+  // Declared before the services so they outlive them: a service calls its
+  // barrier handler (the coordinator) and writes the log.
+  std::unique_ptr<ft::DurableOutputLog> log;
+  std::unique_ptr<ft::SnapshotStore> store;
+  std::unique_ptr<ft::CheckpointCoordinator> coord;
+  std::unique_ptr<QueryService> local;
+  std::unique_ptr<shard::ShardedQueryService> sharded;
+  std::unique_ptr<net::ServiceBackend> backend;
+  ft::Checkpointable* checkpointable = nullptr;
+  ft::BarrierInjectable* barrier_target = nullptr;
+};
+
+/// `watermark_fn` stamps each checkpoint's event-time position.
+Status BuildService(const Options& opts, MetricsRegistry* registry,
+                    TraceRecorder* tracer,
+                    std::function<Timestamp()> watermark_fn, Service* svc) {
+  ServiceConfig config;
+  config.metrics = registry;
+  config.tracer = tracer;
+  config.trace_sample_every = 1;
+  config.optimizer = g_optimizer;
+  if (opts.shards > 1) {
+    svc->sharded =
+        std::make_unique<shard::ShardedQueryService>(opts.shards, config);
+    svc->backend = std::make_unique<net::ShardedBackend>(svc->sharded.get());
+    svc->checkpointable = svc->sharded.get();
+    svc->barrier_target = svc->sharded.get();
+  } else {
+    svc->local = std::make_unique<QueryService>(Catalog{}, config);
+    svc->backend = std::make_unique<net::LocalBackend>(svc->local.get());
+    svc->checkpointable = svc->local.get();
+    svc->barrier_target = svc->local.get();
   }
-  return st;
+  if (opts.checkpoint_dir.empty()) return Status::OK();
+
+  svc->store =
+      std::make_unique<ft::SnapshotStore>(opts.checkpoint_dir + "/snap");
+  CQ_RETURN_NOT_OK(svc->store->Init());
+  svc->coord = std::make_unique<ft::CheckpointCoordinator>(svc->checkpointable,
+                                                           svc->store.get());
+  if (svc->local != nullptr) {
+    svc->log =
+        std::make_unique<ft::DurableOutputLog>(opts.checkpoint_dir + "/out");
+    CQ_RETURN_NOT_OK(svc->log->Init());
+    svc->local->SetDurableOutputLog(svc->log.get());
+    svc->coord->SetOutputLog(svc->log.get());
+  }
+  svc->coord->SetWatermarkFn(std::move(watermark_fn));
+  svc->barrier_target->SetBarrierHandler(
+      svc->coord->Handler(svc->barrier_target->BarrierFanIn()));
+  return Status::OK();
+}
+
+/// Restores the whole service — registered queries, shared graph, window
+/// and aggregation state — from the newest durable epoch, republishing any
+/// staged output the dead process never got to publish.
+Result<ft::RecoveryReport> Recover(Service* svc) {
+  ft::RecoveryManager recovery(svc->store.get());
+  recovery.SetOutputLog(svc->log.get());
+  CQ_ASSIGN_OR_RETURN(ft::RecoveryReport report,
+                      recovery.Recover(svc->checkpointable, nullptr));
+  if (report.restored) svc->coord->ResumeFromEpoch(report.epoch);
+  return report;
 }
 
 // --- Demo mode -------------------------------------------------------------
 
-int RunDemo(const std::string& checkpoint_dir, bool recover, int http_port) {
+int RunDemo(const Options& opts) {
   MetricsRegistry registry;
   TraceRecorder tracer;
-  auto svc = MakeService(&registry, &tracer);
-  HttpEndpoint http;
-  QueryService* svc_raw = svc.get();
-  Status http_st =
-      StartHttp(&http, http_port, &registry, &tracer,
-                [svc_raw] { return QueriesJson(svc_raw->ListQueries()); });
-  if (!http_st.ok()) {
-    std::fprintf(stderr, "http: %s\n", http_st.ToString().c_str());
+  Timestamp ts = 0;
+  Service svc;
+  Status st =
+      BuildService(opts, &registry, &tracer, [&ts] { return ts; }, &svc);
+  if (!st.ok()) {
+    std::fprintf(stderr, "checkpoint dir: %s\n", st.ToString().c_str());
     return 1;
   }
-  Timestamp ts = 0;
+  net::ServiceBackend& backend = *svc.backend;
 
-  // Durability rig (only with --checkpoint-dir): fenced output log + snapshot
-  // store + barrier-checkpoint coordinator around the same service object.
-  std::unique_ptr<ft::DurableOutputLog> log;
-  std::unique_ptr<ft::SnapshotStore> store;
-  std::unique_ptr<ft::CheckpointCoordinator> coord;
-  if (!checkpoint_dir.empty()) {
-    log = std::make_unique<ft::DurableOutputLog>(checkpoint_dir + "/out");
-    store = std::make_unique<ft::SnapshotStore>(checkpoint_dir + "/snap");
-    Status st = log->Init();
-    if (st.ok()) st = store->Init();
+  // A sharded image validates the catalog's shard keys on restore, so the
+  // sharded stream registers first; a local image carries its own catalog.
+  if (svc.sharded != nullptr || !opts.recover) {
+    std::vector<size_t> shard_key;
+    if (svc.sharded != nullptr) shard_key = {0};  // partition by sym
+    st = backend.RegisterStream("trades",
+                                Schema::Make({{"sym", ValueType::kString},
+                                              {"price", ValueType::kInt64},
+                                              {"qty", ValueType::kInt64}}),
+                                std::move(shard_key));
     if (!st.ok()) {
-      std::fprintf(stderr, "checkpoint dir: %s\n", st.ToString().c_str());
+      std::fprintf(stderr, "RegisterStream: %s\n", st.ToString().c_str());
       return 1;
     }
-    svc->SetDurableOutputLog(log.get());
-    coord = std::make_unique<ft::CheckpointCoordinator>(svc.get(), store.get());
-    coord->SetOutputLog(log.get());
-    coord->SetWatermarkFn([&ts] { return ts; });
-    svc->SetBarrierHandler(coord->Handler(svc->BarrierFanIn()));
   }
 
-  if (recover) {
-    if (store == nullptr) {
-      std::fprintf(stderr, "--recover requires --checkpoint-dir\n");
-      return 2;
-    }
-    // Restore the whole service — registered queries, shared graph, window
-    // and aggregation state — from the newest durable epoch, republishing
-    // any staged output the dead process never got to publish.
-    ft::RecoveryManager recovery(store.get());
-    recovery.SetOutputLog(log.get());
-    auto report = recovery.Recover(svc.get(), nullptr);
+  if (opts.recover) {
+    auto report = Recover(&svc);
     if (!report.ok()) {
       std::fprintf(stderr, "recover: %s\n", report.status().ToString().c_str());
       return 1;
     }
     if (!report->restored) {
       std::fprintf(stderr, "recover: no checkpoint found in %s\n",
-                   checkpoint_dir.c_str());
+                   opts.checkpoint_dir.c_str());
       return 1;
     }
-    coord->ResumeFromEpoch(report->epoch);
     ts = report->watermark > 0 ? report->watermark : 0;
-    std::printf("recovered %zu queries at epoch %llu (watermark %lld)\n",
-                svc->NumActiveQueries(),
+    std::printf("recovered %zu queries at epoch %llu (watermark %lld, "
+                "%zu shard%s)\n",
+                backend.NumActiveQueries(),
                 static_cast<unsigned long long>(report->epoch),
-                static_cast<long long>(report->watermark));
+                static_cast<long long>(report->watermark), opts.shards,
+                opts.shards == 1 ? "" : "s");
   } else {
-    Status st = svc->RegisterStream(
-        "trades", Schema::Make({{"sym", ValueType::kString},
-                                {"price", ValueType::kInt64},
-                                {"qty", ValueType::kInt64}}));
-    if (!st.ok()) {
-      std::fprintf(stderr, "RegisterStream: %s\n", st.ToString().c_str());
-      return 1;
-    }
-
     // Both queries share the source -> filter -> window prefix; they diverge
     // only in their residual plans, so the graph holds one copy of the
     // prefix.
-    auto big = svc->RegisterQuery(
+    auto big = backend.RegisterQuery(
         "SELECT sym, price FROM trades [Range 100] WHERE price > 10");
-    auto volume = svc->RegisterQuery(
+    auto volume = backend.RegisterQuery(
         "SELECT sym, SUM(qty) AS total FROM trades [Range 100] "
         "WHERE price > 10 GROUP BY sym");
     if (!big.ok() || !volume.ok()) {
@@ -277,16 +305,17 @@ int RunDemo(const std::string& checkpoint_dir, bool recover, int http_port) {
     }
   }
 
-  std::vector<std::pair<QueryId, SubscriptionPtr>> subs;
-  for (const auto& info : svc->ListQueries()) {
-    auto sub = svc->Subscribe(info.id);
-    if (sub.ok()) subs.emplace_back(info.id, *sub);
+  std::vector<std::unique_ptr<net::SubscriberFeed>> feeds;
+  for (const auto& info : backend.ListQueries()) {
+    auto feed = backend.Subscribe(info.id);
+    if (feed.ok()) feeds.push_back(std::move(*feed));
   }
 
-  std::printf("%s 2 queries, %zu live operators (unshared would need %zu)\n",
-              recover ? "recovered" : "registered", svc->NumOperators(),
-              size_t{10});
-  for (const auto& info : svc->ListQueries()) {
+  std::printf("%s 2 queries, %zu live operators per shard (unshared would "
+              "need %zu)\n",
+              opts.recover ? "recovered" : "registered",
+              backend.NumOperators(), size_t{10});
+  for (const auto& info : backend.ListQueries()) {
     std::printf("  query %llu: %zu nodes, %zu reused — %s\n",
                 static_cast<unsigned long long>(info.id), info.nodes_total,
                 info.nodes_reused, info.sql.c_str());
@@ -303,20 +332,22 @@ int RunDemo(const std::string& checkpoint_dir, bool recover, int http_port) {
                            {"GLOBEX", 9, 99},  {"GLOBEX", 41, 5}};
   const Row second_act[] = {{"ACME", 20, 7}, {"GLOBEX", 44, 3},
                             {"ACME", 13, 11}};
-  for (const Row& r : recover ? std::vector<Row>(std::begin(second_act),
-                                                 std::end(second_act))
-                              : std::vector<Row>(std::begin(first_act),
-                                                 std::end(first_act))) {
+  for (const Row& r : opts.recover
+                          ? std::vector<Row>(std::begin(second_act),
+                                             std::end(second_act))
+                          : std::vector<Row>(std::begin(first_act),
+                                             std::end(first_act))) {
     ++ts;
-    (void)svc->PushRecord("trades",
-                          Tuple{Value(r.sym), Value(r.price), Value(r.qty)}, ts);
-    (void)svc->PushWatermark("trades", ts);
+    (void)backend.PushRecord(
+        "trades", Tuple{Value(r.sym), Value(r.price), Value(r.qty)}, ts);
+    (void)backend.PushWatermark("trades", ts);
   }
 
-  for (const auto& [qid, sub] : subs) {
-    std::printf("query %llu output:\n", static_cast<unsigned long long>(qid));
+  for (const auto& feed : feeds) {
+    std::printf("query %llu output:\n",
+                static_cast<unsigned long long>(feed->QueryId()));
     StreamBatch batch;
-    while (sub->TryPoll(&batch)) {
+    while (feed->TryPoll(&batch)) {
       for (const auto& e : batch) {
         if (e.is_record()) {
           std::printf("  t=%lld %s\n", static_cast<long long>(e.timestamp),
@@ -326,179 +357,27 @@ int RunDemo(const std::string& checkpoint_dir, bool recover, int http_port) {
     }
   }
 
-  if (coord != nullptr) {
-    auto epoch = coord->TriggerBarrierCheckpoint(svc.get());
-    Status st = epoch.ok() ? coord->WaitForEpoch(*epoch) : epoch.status();
+  if (svc.coord != nullptr) {
+    auto epoch = svc.coord->TriggerBarrierCheckpoint(svc.barrier_target);
+    st = epoch.ok() ? svc.coord->WaitForEpoch(*epoch) : epoch.status();
     if (!st.ok()) {
       std::fprintf(stderr, "checkpoint: %s\n", st.ToString().c_str());
       return 1;
     }
-    ft::DurableOutputLog reader(checkpoint_dir + "/out");
-    auto published = reader.ReadAll();
-    std::printf(
-        "checkpointed epoch %llu; %zu fenced records published to %s/out\n",
-        static_cast<unsigned long long>(*epoch),
-        published.ok() ? published->size() : size_t{0},
-        checkpoint_dir.c_str());
+    std::printf("checkpointed epoch %llu",
+                static_cast<unsigned long long>(*epoch));
+    if (svc.log != nullptr) {
+      auto published =
+          ft::DurableOutputLog(opts.checkpoint_dir + "/out").ReadAll();
+      std::printf("; %zu fenced records published to %s/out",
+                  published.ok() ? published->size() : size_t{0},
+                  opts.checkpoint_dir.c_str());
+    }
+    std::printf("\n");
   }
 
-  std::printf("METRICS_JSON %s\n",
-              svc->DumpMetrics(MetricsFormat::kJson).c_str());
+  std::printf("METRICS_JSON %s\n", registry.ToJson().c_str());
   return 0;
-}
-
-// --- Sharded demo mode -----------------------------------------------------
-
-/// The demo of RunDemo scaled out across `nshards` service replicas:
-/// `trades` partitions by `sym` (column 0), both queries decompose by that
-/// key, and each subscription merges every replica's feed. Durability uses
-/// the same snapshot store + barrier coordinator rig; the image carries the
-/// shard count and only restores at the same N (pipeline-level N->M
-/// re-shard is the re-scaling path).
-int RunShardedDemo(size_t nshards, const std::string& checkpoint_dir,
-                   bool recover, int http_port) {
-  MetricsRegistry registry;
-  TraceRecorder tracer;
-  ServiceConfig config;
-  config.metrics = &registry;
-  config.tracer = &tracer;
-  config.trace_sample_every = 1;
-  config.optimizer = g_optimizer;
-  shard::ShardedQueryService svc(nshards, config);
-  HttpEndpoint http;
-  QueryService* replica0 = svc.replica(0);
-  Status http_st =
-      StartHttp(&http, http_port, &registry, &tracer,
-                [replica0] { return QueriesJson(replica0->ListQueries()); });
-  if (!http_st.ok()) {
-    std::fprintf(stderr, "http: %s\n", http_st.ToString().c_str());
-    return 1;
-  }
-  Timestamp ts = 0;
-
-  // Streams register on both the fresh and the recover path: restore
-  // validates the catalog's shard keys against the image's meta slot.
-  Status st = svc.RegisterStream(
-      "trades", Schema::Make({{"sym", ValueType::kString},
-                              {"price", ValueType::kInt64},
-                              {"qty", ValueType::kInt64}}),
-      {0});
-  if (!st.ok()) {
-    std::fprintf(stderr, "RegisterStream: %s\n", st.ToString().c_str());
-    return 1;
-  }
-
-  std::unique_ptr<ft::SnapshotStore> store;
-  std::unique_ptr<ft::CheckpointCoordinator> coord;
-  if (!checkpoint_dir.empty()) {
-    store = std::make_unique<ft::SnapshotStore>(checkpoint_dir + "/snap");
-    Status init = store->Init();
-    if (!init.ok()) {
-      std::fprintf(stderr, "checkpoint dir: %s\n", init.ToString().c_str());
-      return 1;
-    }
-    coord = std::make_unique<ft::CheckpointCoordinator>(&svc, store.get());
-    coord->SetWatermarkFn([&ts] { return ts; });
-    svc.SetBarrierHandler(coord->Handler(svc.BarrierFanIn()));
-  }
-
-  if (recover) {
-    if (store == nullptr) {
-      std::fprintf(stderr, "--recover requires --checkpoint-dir\n");
-      return 2;
-    }
-    ft::RecoveryManager recovery(store.get());
-    auto report = recovery.Recover(&svc, nullptr);
-    if (!report.ok()) {
-      std::fprintf(stderr, "recover: %s\n", report.status().ToString().c_str());
-      return 1;
-    }
-    if (!report->restored) {
-      std::fprintf(stderr, "recover: no checkpoint found in %s\n",
-                   checkpoint_dir.c_str());
-      return 1;
-    }
-    coord->ResumeFromEpoch(report->epoch);
-    ts = report->watermark > 0 ? report->watermark : 0;
-    std::printf("recovered %zu queries at epoch %llu (watermark %lld, "
-                "%zu shards)\n",
-                svc.NumActiveQueries(),
-                static_cast<unsigned long long>(report->epoch),
-                static_cast<long long>(report->watermark), nshards);
-  } else {
-    auto big = svc.RegisterQuery(
-        "SELECT sym, price FROM trades [Range 100] WHERE price > 10");
-    auto volume = svc.RegisterQuery(
-        "SELECT sym, SUM(qty) AS total FROM trades [Range 100] "
-        "WHERE price > 10 GROUP BY sym");
-    if (!big.ok() || !volume.ok()) {
-      std::fprintf(stderr, "RegisterQuery failed\n");
-      return 1;
-    }
-  }
-
-  std::vector<std::pair<QueryId, shard::ShardedSubscriptionPtr>> subs;
-  for (const auto& info : svc.replica(0)->ListQueries()) {
-    auto sub = svc.Subscribe(info.id);
-    if (sub.ok()) subs.emplace_back(info.id, *sub);
-  }
-
-  std::printf("%s 2 queries on %zu shards (%zu operators per replica)\n",
-              recover ? "recovered" : "registered", nshards,
-              svc.replica(0)->NumOperators());
-
-  struct Row {
-    const char* sym;
-    int64_t price, qty;
-  };
-  const Row first_act[] = {{"ACME", 12, 100}, {"ACME", 8, 50},
-                           {"GLOBEX", 40, 10}, {"ACME", 15, 30},
-                           {"GLOBEX", 9, 99},  {"GLOBEX", 41, 5}};
-  const Row second_act[] = {{"ACME", 20, 7}, {"GLOBEX", 44, 3},
-                            {"ACME", 13, 11}};
-  for (const Row& r : recover ? std::vector<Row>(std::begin(second_act),
-                                                 std::end(second_act))
-                              : std::vector<Row>(std::begin(first_act),
-                                                 std::end(first_act))) {
-    ++ts;
-    (void)svc.PushRecord("trades",
-                         Tuple{Value(r.sym), Value(r.price), Value(r.qty)}, ts);
-    (void)svc.PushWatermark("trades", ts);
-  }
-
-  for (const auto& [qid, sub] : subs) {
-    std::printf("query %llu output:\n", static_cast<unsigned long long>(qid));
-    StreamBatch batch;
-    while (sub->TryPoll(&batch)) {
-      for (const auto& e : batch) {
-        if (e.is_record()) {
-          std::printf("  t=%lld %s\n", static_cast<long long>(e.timestamp),
-                      e.tuple.ToString().c_str());
-        }
-      }
-    }
-  }
-
-  if (coord != nullptr) {
-    auto epoch = coord->TriggerBarrierCheckpoint(&svc);
-    Status ckpt = epoch.ok() ? coord->WaitForEpoch(*epoch) : epoch.status();
-    if (!ckpt.ok()) {
-      std::fprintf(stderr, "checkpoint: %s\n", ckpt.ToString().c_str());
-      return 1;
-    }
-    std::printf("checkpointed epoch %llu (%zu shard slots)\n",
-                static_cast<unsigned long long>(*epoch), nshards);
-  }
-
-  uint64_t routed = 0;
-  for (size_t s = 0; s < nshards; ++s) {
-    std::printf("shard %zu routed %llu records\n", s,
-                static_cast<unsigned long long>(svc.records_routed(s)));
-    routed += svc.records_routed(s);
-  }
-  std::printf("METRICS_JSON %s\n",
-              registry.ToJson().c_str());
-  return routed > 0 || recover ? 0 : 1;
 }
 
 // --- Serve mode (async epoll front door) -----------------------------------
@@ -511,98 +390,29 @@ void HandleSignal(int) {
   if (g_server != nullptr) g_server->ShutdownAsync();
 }
 
-struct ServeOptions {
-  uint16_t port = 7878;
-  int http_port = -1;
-  size_t shards = 1;
-  std::string checkpoint_dir;
-  bool recover = false;
-  /// name -> quota ("*" = default quota).
-  std::vector<std::pair<std::string, net::TenantQuota>> quotas;
-};
-
-int RunServer(const ServeOptions& opts) {
+int RunServer(const Options& opts) {
   MetricsRegistry registry;
   TraceRecorder tracer;
-  ServiceConfig config;
-  config.metrics = &registry;
-  config.tracer = &tracer;
-  config.trace_sample_every = 1;
-  config.optimizer = g_optimizer;
-
-  // Backend: one QueryService, or N replicas behind the same protocol.
-  std::unique_ptr<QueryService> local;
-  std::unique_ptr<shard::ShardedQueryService> sharded;
-  std::unique_ptr<net::ServiceBackend> backend;
-  ft::Checkpointable* checkpointable = nullptr;
-  ft::BarrierInjectable* barrier_target = nullptr;
-  if (opts.shards > 1) {
-    sharded = std::make_unique<shard::ShardedQueryService>(opts.shards, config);
-    backend = std::make_unique<net::ShardedBackend>(sharded.get());
-    checkpointable = sharded.get();
-    barrier_target = sharded.get();
-  } else {
-    local = std::make_unique<QueryService>(Catalog{}, config);
-    backend = std::make_unique<net::LocalBackend>(local.get());
-    checkpointable = local.get();
-    barrier_target = local.get();
-  }
-
-  // Durability rig: same shape as the demo, but the checkpoint runs inside
-  // the graceful drain (SIGTERM) instead of at end-of-script.
-  std::unique_ptr<ft::DurableOutputLog> log;
-  std::unique_ptr<ft::SnapshotStore> store;
-  std::unique_ptr<ft::CheckpointCoordinator> coord;
-  if (!opts.checkpoint_dir.empty()) {
-    store = std::make_unique<ft::SnapshotStore>(opts.checkpoint_dir + "/snap");
-    Status st = store->Init();
-    if (st.ok() && local != nullptr) {
-      // Output fencing is per service; the sharded path checkpoints state
-      // only (its demo rig does the same).
-      log = std::make_unique<ft::DurableOutputLog>(opts.checkpoint_dir +
-                                                   "/out");
-      st = log->Init();
-      if (st.ok()) local->SetDurableOutputLog(log.get());
-    }
-    if (!st.ok()) {
-      std::fprintf(stderr, "checkpoint dir: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    coord =
-        std::make_unique<ft::CheckpointCoordinator>(checkpointable, store.get());
-    if (log != nullptr) coord->SetOutputLog(log.get());
-    coord->SetWatermarkFn([] { return Timestamp{0}; });
-    if (local != nullptr) {
-      local->SetBarrierHandler(coord->Handler(local->BarrierFanIn()));
-    } else {
-      sharded->SetBarrierHandler(coord->Handler(sharded->BarrierFanIn()));
-    }
+  // The checkpoint runs inside the graceful drain (SIGTERM) instead of at
+  // end-of-script.
+  Service svc;
+  Status st = BuildService(opts, &registry, &tracer,
+                           [] { return Timestamp{0}; }, &svc);
+  if (!st.ok()) {
+    std::fprintf(stderr, "checkpoint dir: %s\n", st.ToString().c_str());
+    return 1;
   }
 
   if (opts.recover) {
-    if (store == nullptr) {
-      std::fprintf(stderr, "--recover requires --checkpoint-dir\n");
-      return 2;
-    }
-    if (local == nullptr) {
-      std::fprintf(stderr,
-                   "--recover --shards is unsupported in serve mode: a "
-                   "sharded image validates against streams that must be "
-                   "registered (with their shard keys) before restore\n");
-      return 2;
-    }
-    ft::RecoveryManager recovery(store.get());
-    recovery.SetOutputLog(log.get());
-    auto report = recovery.Recover(local.get(), nullptr);
+    auto report = Recover(&svc);
     if (!report.ok()) {
       std::fprintf(stderr, "recover: %s\n",
                    report.status().ToString().c_str());
       return 1;
     }
     if (report->restored) {
-      coord->ResumeFromEpoch(report->epoch);
       std::printf("recovered %zu queries at epoch %llu\n",
-                  local->NumActiveQueries(),
+                  svc.backend->NumActiveQueries(),
                   static_cast<unsigned long long>(report->epoch));
     } else {
       std::printf("no checkpoint in %s; starting fresh\n",
@@ -623,48 +433,35 @@ int RunServer(const ServeOptions& opts) {
   sconf.port = opts.port;
   sconf.quotas = &quotas;
   sconf.metrics = &registry;
-  net::Server server(backend.get(), sconf);
+  net::Server server(svc.backend.get(), sconf);
 
   // The observability routes ride the same loop and port as the protocol.
-  net::ServiceBackend* backend_raw = backend.get();
+  net::ServiceBackend* backend = svc.backend.get();
   server.AddHttpRoute("/metrics", "text/plain; version=0.0.4", [&registry] {
     return registry.Dump(MetricsFormat::kText);
   });
-  server.AddHttpRoute("/queries", "application/json", [backend_raw] {
-    return QueriesJson(backend_raw->ListQueries());
+  server.AddHttpRoute("/queries", "application/json", [backend] {
+    return QueriesJson(backend->ListQueries());
   });
   server.AddHttpRoute("/traces", "application/json",
                       [&tracer] { return tracer.ToJson(); });
   server.AddHttpRoute("/flightrecorder", "application/json",
                       [] { return FlightRecorder::Global().ToJson(); });
 
-  Status st = server.Init();
+  st = server.Init();
   if (!st.ok()) {
     std::fprintf(stderr, "server: %s\n", st.ToString().c_str());
     return 1;
   }
 
-  // Legacy separate observability endpoint (--http): same routes, own
-  // thread and port.
-  HttpEndpoint http;
-  Status http_st =
-      StartHttp(&http, opts.http_port, &registry, &tracer, [backend_raw] {
-        return QueriesJson(backend_raw->ListQueries());
-      });
-  if (!http_st.ok()) {
-    std::fprintf(stderr, "http: %s\n", http_st.ToString().c_str());
-    return 1;
-  }
-
-  if (coord != nullptr) {
+  if (svc.coord != nullptr) {
     // Graceful drain, after subscriber flush and before close: barrier
     // checkpoint the service, publishing every staged fence frame through
     // the idempotent output log.
-    ft::CheckpointCoordinator* coord_raw = coord.get();
-    server.SetDrainHook([coord_raw, barrier_target] {
-      auto epoch = coord_raw->TriggerBarrierCheckpoint(barrier_target);
+    server.SetDrainHook([&svc] {
+      auto epoch = svc.coord->TriggerBarrierCheckpoint(svc.barrier_target);
       CQ_RETURN_NOT_OK(epoch.status());
-      CQ_RETURN_NOT_OK(coord_raw->WaitForEpoch(*epoch));
+      CQ_RETURN_NOT_OK(svc.coord->WaitForEpoch(*epoch));
       std::printf("drain checkpoint: epoch %llu durable\n",
                   static_cast<unsigned long long>(*epoch));
       return Status::OK();
@@ -690,6 +487,23 @@ int RunServer(const ServeOptions& opts) {
   return 0;
 }
 
+// --- Flag parsing ----------------------------------------------------------
+
+/// Parses all of `text` as a base-10 integer within [lo, hi] (and within
+/// T's range).
+template <typename T>
+bool ParseNumber(std::string_view text, T* out,
+                 T lo = std::numeric_limits<T>::min(),
+                 T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* last = text.data() + text.size();
+  auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc() || end != last) return false;
+  if (value < lo || value > hi) return false;
+  *out = value;
+  return true;
+}
+
 /// Parses NAME:MAXQ:MAXBYTES:BPS[:BURST] ("*" as NAME = default quota).
 bool ParseTenantQuotaFlag(const std::string& spec,
                           std::pair<std::string, net::TenantQuota>* out) {
@@ -705,48 +519,45 @@ bool ParseTenantQuotaFlag(const std::string& spec,
   }
   parts.push_back(cur);
   if (parts.size() < 4 || parts.size() > 5 || parts[0].empty()) return false;
-  try {
-    out->first = parts[0];
-    out->second.max_queries = std::stoull(parts[1]);
-    out->second.max_state_bytes = std::stoull(parts[2]);
-    out->second.egress_bytes_per_sec = std::stoull(parts[3]);
-    out->second.egress_burst_bytes =
-        parts.size() == 5 ? std::stoull(parts[4]) : 0;
-  } catch (const std::exception&) {
-    return false;
-  }
-  return true;
+  net::TenantQuota& q = out->second;
+  out->first = parts[0];
+  q.egress_burst_bytes = 0;
+  return ParseNumber(parts[1], &q.max_queries) &&
+         ParseNumber(parts[2], &q.max_state_bytes) &&
+         ParseNumber(parts[3], &q.egress_bytes_per_sec) &&
+         (parts.size() == 4 || ParseNumber(parts[4], &q.egress_burst_bytes));
+}
+
+int Usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--serve [port]] [--shards N] "
+               "[--checkpoint-dir DIR [--recover]] "
+               "[--optimizer-rules SPEC] "
+               "[--tenant-quota NAME:MAXQ:MAXBYTES:BPS[:BURST]]...\n",
+               argv0);
+  return 2;
 }
 
 }  // namespace
 }  // namespace cq
 
 int main(int argc, char** argv) {
-  bool serve = false;
-  cq::ServeOptions opts;
-  std::string checkpoint_dir;
-  bool recover = false;
-  size_t shards = 1;
-  int http_port = -1;  // -1 = no separate observability endpoint
+  cq::Options opts;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--serve") == 0) {
-      serve = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        opts.port = static_cast<uint16_t>(std::stoi(argv[++i]));
+      opts.serve = true;
+      if (i + 1 < argc && argv[i + 1][0] != '-' &&
+          !cq::ParseNumber(argv[++i], &opts.port)) {
+        return cq::Usage(argv[0]);
       }
-    } else if (std::strcmp(argv[i], "--http") == 0 && i + 1 < argc) {
-      http_port = std::stoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--checkpoint-dir") == 0 && i + 1 < argc) {
-      checkpoint_dir = argv[++i];
+      opts.checkpoint_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--recover") == 0) {
-      recover = true;
+      opts.recover = true;
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      int n = std::stoi(argv[++i]);
-      if (n < 1) {
-        std::fprintf(stderr, "--shards wants a positive count\n");
-        return 2;
-      }
-      shards = static_cast<size_t>(n);
+      int n = 0;
+      if (!cq::ParseNumber(argv[++i], &n, 1)) return cq::Usage(argv[0]);
+      opts.shards = static_cast<size_t>(n);
     } else if (std::strcmp(argv[i], "--tenant-quota") == 0 && i + 1 < argc) {
       std::pair<std::string, cq::net::TenantQuota> quota;
       if (!cq::ParseTenantQuotaFlag(argv[++i], &quota)) {
@@ -764,28 +575,23 @@ int main(int argc, char** argv) {
       }
       cq::g_optimizer = *o;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--serve [port]] [--http PORT] [--shards N] "
-                   "[--checkpoint-dir DIR [--recover]] "
-                   "[--optimizer-rules SPEC] "
-                   "[--tenant-quota NAME:MAXQ:MAXBYTES:BPS[:BURST]]...\n",
-                   argv[0]);
-      return 2;
+      return cq::Usage(argv[0]);
     }
   }
-  if (!serve && !opts.quotas.empty()) {
+  if (!opts.serve && !opts.quotas.empty()) {
     std::fprintf(stderr, "--tenant-quota applies to serve mode only\n");
     return 2;
   }
-  if (serve) {
-    opts.http_port = http_port;
-    opts.shards = shards;
-    opts.checkpoint_dir = checkpoint_dir;
-    opts.recover = recover;
-    return cq::RunServer(opts);
+  if (opts.recover && opts.checkpoint_dir.empty()) {
+    std::fprintf(stderr, "--recover requires --checkpoint-dir\n");
+    return 2;
   }
-  if (shards > 1) {
-    return cq::RunShardedDemo(shards, checkpoint_dir, recover, http_port);
+  if (opts.serve && opts.recover && opts.shards > 1) {
+    std::fprintf(stderr,
+                 "--recover --shards is unsupported in serve mode: a sharded "
+                 "image validates against streams that must be registered "
+                 "(with their shard keys) before restore\n");
+    return 2;
   }
-  return cq::RunDemo(checkpoint_dir, recover, http_port);
+  return opts.serve ? cq::RunServer(opts) : cq::RunDemo(opts);
 }

@@ -16,15 +16,16 @@ then smoke-checks the metrics_demo JSON output and the quickstart /
 query_server examples.
 
 --tsan builds with ThreadSanitizer (default build dir: build-tsan) and
-runs only the concurrent-runtime test binaries (channel, parallel
-pipeline, broker driver, the multi-query service whose subscribers
-drain concurrently, the sharded pipeline whose exchanges fan batches
-and barriers across task threads, and the epoll front door whose loop
-thread races client threads) — the threaded core.
+runs only the concurrent-runtime test binaries (channel, broker driver,
+the multi-query service whose subscribers drain concurrently, the
+sharded pipeline whose exchanges fan batches and barriers across task
+threads, and the epoll front door whose loop thread races client
+threads) — the threaded core.
 --asan builds with AddressSanitizer (default build dir: build-asan) and
-runs the state/durability test binaries (ft, kvstore, snapshot, queue)
-plus the net frame/buffer parsing — the buffers and file framing the
-fault-tolerance and wire layers serialize.
+runs the state/durability test binaries (ft, kvstore, snapshot, queue,
+and the sharded pipeline's checkpoint/restore) plus the net frame/buffer
+parsing — the buffers and file framing the fault-tolerance and wire
+layers serialize.
 --ubsan builds with UndefinedBehaviorSanitizer (default build dir:
 build-ubsan) and runs the columnar/typed-kernel test binaries (types,
 columnar, expr, batch equivalence, window equivalence, aggregates) —
@@ -82,12 +83,12 @@ if [[ "$ASAN" == 1 ]]; then
 
   echo "== build (asan) =="
   cmake --build "$BUILD_DIR" -j"$(nproc)" --target \
-    ft_test kvstore_test snapshot_test state_test queue_test parallel_test \
+    ft_test kvstore_test snapshot_test state_test queue_test shard_test \
     net_test
 
   echo "== ctest (asan: ft/state/durability + net framing) =="
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \
-    -R 'ft_test|kvstore_test|snapshot_test|state_test|queue_test|parallel_test|net_test'
+    -R 'ft_test|kvstore_test|snapshot_test|state_test|queue_test|shard_test|net_test'
 
   echo "tier-1 asan check: OK"
   exit 0
@@ -160,13 +161,13 @@ if [[ "$TSAN" == 1 ]]; then
 
   echo "== build (tsan) =="
   cmake --build "$BUILD_DIR" -j"$(nproc)" --target \
-    runtime_test parallel_test broker_driver_test executor_failure_test \
+    runtime_test broker_driver_test executor_failure_test \
     batch_equivalence_test service_test graph_mutation_test \
     shard_test shard_recovery_test net_test
 
-  echo "== ctest (tsan: runtime/parallel/broker/service/shard/net) =="
+  echo "== ctest (tsan: runtime/broker/service/shard/net) =="
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \
-    -R 'runtime_test|parallel_test|broker_driver_test|executor_failure_test|batch_equivalence_test|service_test|graph_mutation_test|shard_test|shard_recovery_test|net_test'
+    -R 'runtime_test|broker_driver_test|executor_failure_test|batch_equivalence_test|service_test|graph_mutation_test|shard_test|shard_recovery_test|net_test'
 
   echo "tier-1 tsan check: OK"
   exit 0
@@ -255,9 +256,10 @@ if ! grep -q "'ACME', 137" <<< "$QS_SHARD_OUT"; then
 fi
 
 echo "== query_server smoke (observability endpoint) =="
-# Drive one query end to end over the TCP protocol, then scrape the embedded
-# HTTP endpoint: /metrics must be Prometheus text carrying the attribution
-# families and /queries must be valid JSON listing the live query.
+# Drive one query end to end over the TCP protocol, then scrape the same
+# --serve port over HTTP: /metrics must be Prometheus text carrying the
+# attribution families and /queries must be valid JSON listing the live
+# query.
 QS_BIN="$BUILD_DIR/examples/query_server" python3 - <<'EOF'
 import json, os, socket, struct, subprocess, sys, time, urllib.request
 
@@ -268,9 +270,9 @@ def free_port():
     s.close()
     return port
 
-tcp_port, http_port = free_port(), free_port()
+tcp_port = free_port()
 proc = subprocess.Popen(
-    [os.environ["QS_BIN"], "--serve", str(tcp_port), "--http", str(http_port)],
+    [os.environ["QS_BIN"], "--serve", str(tcp_port)],
     stdout=subprocess.DEVNULL)
 try:
     for _ in range(100):
@@ -317,7 +319,7 @@ try:
     cmd("WATERMARK trades 500")
 
     with urllib.request.urlopen(
-            f"http://127.0.0.1:{http_port}/metrics", timeout=5) as resp:
+            f"http://127.0.0.1:{tcp_port}/metrics", timeout=5) as resp:
         assert resp.status == 200, resp.status
         assert resp.headers["Content-Type"].startswith("text/plain"), \
             resp.headers["Content-Type"]
@@ -327,7 +329,7 @@ try:
         assert family in text, f"/metrics missing {family}"
 
     with urllib.request.urlopen(
-            f"http://127.0.0.1:{http_port}/queries", timeout=5) as resp:
+            f"http://127.0.0.1:{tcp_port}/queries", timeout=5) as resp:
         queries = json.load(resp)
     assert len(queries) == 1, queries
     assert queries[0]["state"] == "running", queries
@@ -339,6 +341,55 @@ try:
 finally:
     proc.kill()
     proc.wait()
+EOF
+
+echo "== query_server smoke (malformed numeric flags) =="
+# A numeric flag must be wholly a number in range: each bad value prints the
+# usage line and exits 2 without ever listening (not an uncaught exception,
+# and not a silently truncated or wrapped port).
+QS_BIN="$BUILD_DIR/examples/query_server" python3 - <<'EOF'
+import os, socket, subprocess, sys
+
+def free_port():
+    s = socket.socket()
+    s.bind(("127.0.0.1", 0))
+    port = s.getsockname()[1]
+    s.close()
+    return port
+
+def listening(port):
+    try:
+        socket.create_connection(("127.0.0.1", port), timeout=0.2).close()
+        return True
+    except OSError:
+        return False
+
+port = free_port()
+# "70000x" would listen on 4464 if the junk were dropped and the value wrapped.
+cases = [(["--serve", str(port), "--shards", "x"], port),
+         (["--serve", str(port), "--shards", "99999999999"], port),
+         (["--serve", "70000x"], 70000 % 65536)]
+for args, probe in cases:
+    cmdline = " ".join(args)
+    proc = subprocess.Popen([os.environ["QS_BIN"]] + args,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            text=True)
+    try:
+        _, err = proc.communicate(timeout=10)
+    except subprocess.TimeoutExpired:
+        up = listening(probe)
+        proc.kill()
+        proc.wait()
+        sys.exit(f"FAIL: query_server {cmdline} kept running "
+                 f"(listening on {probe}: {up})")
+    if proc.returncode != 2:
+        sys.exit(f"FAIL: query_server {cmdline} exited {proc.returncode}, "
+                 f"want 2:\n{err}")
+    if "usage:" not in err:
+        sys.exit(f"FAIL: query_server {cmdline} printed no usage:\n{err}")
+    if listening(probe):
+        sys.exit(f"FAIL: port {probe} accepts connections after {cmdline}")
+print("flag smoke: malformed --shards/--serve values exit 2 with usage")
 EOF
 
 echo "== query_server smoke (epoll serve mode, SIGTERM drain) =="

@@ -107,7 +107,6 @@ class CepOperator : public Operator {
                      Collector* out) override;
 
   size_t StateSize() const override { return matcher_.PartialRuns(); }
-  bool IsStateless() const override { return false; }
   uint64_t matches() const { return matches_; }
 
  private:

@@ -217,7 +217,7 @@ Status PipelineExecutor::Push(NodeId source, const StreamElement& element) {
   }
   if (element.is_barrier()) {
     // Barriers are a channel-level protocol; the runtime consumes them
-    // before delivery (ParallelPipeline worker loop, BarrierAligner).
+    // before delivery (ShardedPipeline task loop, BarrierAligner).
     return Status::Internal("checkpoint barrier leaked into the dataflow");
   }
   if (element.is_watermark()) {

@@ -63,7 +63,6 @@ class StreamJoinOperator : public Operator {
   Status RestoreState(std::string_view snapshot) override;
   size_t StateSize() const override;
   size_t StateBytesApprox() const override;
-  bool IsStateless() const override { return false; }
 
   /// Both inputs must be co-partitioned: matches exist only between rows
   /// whose join-key bytes are equal, so hashing each side by its own key

@@ -165,11 +165,6 @@ class Operator {
     (void)labels;
   }
 
-  /// \brief Whether the operator keeps no cross-element state. Stateless
-  /// operators are eligible for chain fusion (chaining.h) and need no
-  /// checkpoint. Stateful operators MUST override this to false.
-  virtual bool IsStateless() const { return true; }
-
   // --- Partitioned (sharded) execution ---------------------------------
 
   /// \brief Input-schema columns this operator's state is keyed by on

@@ -46,7 +46,6 @@ class SessionWindowOperator : public Operator {
   Status RestoreState(std::string_view snapshot) override;
   size_t StateSize() const override;
   size_t StateBytesApprox() const override;
-  bool IsStateless() const override { return false; }
   void AttachMetrics(MetricsRegistry* registry,
                      const LabelSet& labels) override;
 

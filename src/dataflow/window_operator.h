@@ -80,7 +80,6 @@ class WindowedAggregateOperator : public Operator {
   Status RestoreState(std::string_view snapshot) override;
   size_t StateSize() const override { return state_->Size(); }
   size_t StateBytesApprox() const override { return state_->ApproxBytes(); }
-  bool IsStateless() const override { return false; }
 
   /// State cells are keyed by TupleToBytes(tuple.Project(key_indexes)), so
   /// the operator must see every record of a group key on one shard …

@@ -4,13 +4,13 @@
 /// \file checkpointable.h
 /// \brief The single checkpoint/restore traversal every pipeline exposes.
 ///
-/// Before the ft subsystem, the synchronous PipelineExecutor and the
-/// threaded ParallelPipeline each hand-rolled their own checkpoint image
-/// format and restore walk. Checkpointable unifies them: a pipeline is a
-/// sequence of *state slots* (one per operator for the executor; one per
-/// worker for the parallel pipeline, each worker slot itself a blob list of
-/// its operators), and the CheckpointCoordinator snapshots, diffs, persists,
-/// and restores slots without knowing which pipeline shape it is driving.
+/// Checkpointable gives the synchronous PipelineExecutor, the threaded
+/// shard::ShardedPipeline and the query services one checkpoint image
+/// format and restore walk: a pipeline is a sequence of *state slots* (one
+/// per operator for the executor; a meta slot plus one per task for the
+/// sharded pipeline, each task slot itself a blob list of its operators),
+/// and the CheckpointCoordinator snapshots, diffs, persists, and restores
+/// slots without knowing which pipeline shape it is driving.
 ///
 /// Header-only (interface + inline codec) so src/dataflow can implement it
 /// without a link-time dependency on the ft library.
@@ -138,7 +138,7 @@ inline Result<std::map<std::string, int64_t>> DecodeOffsetMap(
 
 /// \brief The one on-the-wire checkpoint image format: slot blob list
 /// followed by source offsets. Used by PipelineExecutor::Checkpoint,
-/// ParallelPipeline::Checkpoint, and the SnapshotStore payloads.
+/// ShardedPipeline::Checkpoint, and the SnapshotStore payloads.
 inline std::string EncodeCheckpointImage(
     const std::vector<std::string>& slots,
     const std::map<std::string, int64_t>& source_offsets) {

@@ -112,7 +112,7 @@ std::vector<StagedSinkFrame> ExtractStagedFrames(
       frames.push_back(std::move(*frame));
       continue;
     }
-    // Worker slots (parallel pipeline) and service images wrap their node
+    // Task slots (sharded pipeline) and service images wrap their node
     // states in a blob list; look one level deep.
     std::string_view in = slot;
     Result<std::vector<std::string>> nested = DecodeBlobList(&in);

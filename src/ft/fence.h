@@ -83,9 +83,9 @@ struct StagedSinkFrame {
 std::optional<StagedSinkFrame> TryDecodeStagedFrame(std::string_view slot);
 
 /// \brief Scans a checkpoint image's slots for staged sink frames, looking
-/// one level deep into worker slots (blob lists of node states) so both the
-/// synchronous executor's per-node layout and the parallel pipeline's
-/// per-worker layout are covered.
+/// one level deep into task slots (blob lists of node states) so both the
+/// synchronous executor's per-node layout and the sharded pipeline's
+/// per-task layout are covered.
 std::vector<StagedSinkFrame> ExtractStagedFrames(
     const std::vector<std::string>& slots);
 
@@ -99,7 +99,7 @@ Status PublishStagedFrames(const std::vector<std::string>& slots,
 /// durable; the epoch's buffer travels inside the snapshot image and is
 /// published from there.
 ///
-/// `part` distinguishes parallel sink instances (worker index); each
+/// `part` distinguishes parallel sink instances (shard index); each
 /// publishes its own per-epoch file.
 class EpochSinkOperator : public Operator {
  public:
@@ -123,7 +123,6 @@ class EpochSinkOperator : public Operator {
   Status OnSnapshotStaged() override;
 
   size_t StateSize() const override { return pending_.size(); }
-  bool IsStateless() const override { return false; }
 
   size_t part() const { return part_; }
 

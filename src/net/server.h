@@ -194,7 +194,7 @@ class Server {
   uint16_t port() const { return port_; }
 
   /// \brief Registers an HTTP GET route served on the *same* port and loop
-  /// (the obs::HttpEndpoint route set plugs in here). HTTP requests are
+  /// (the observability plane: /metrics, /queries, ...). HTTP requests are
   /// sniffed by first bytes: "GET " cannot be a frame header under the
   /// 1 MiB cap.
   void AddHttpRoute(std::string path, std::string content_type,

@@ -11,7 +11,7 @@
 /// orderness watermark (min-combined across partitions, as production
 /// systems do), commits offsets, and hands the result over as one
 /// StreamBatch. Everything that consumes broker data — synchronous drains,
-/// parallel pipelines, benches — sits on this one poll/commit/watermark
+/// sharded pipelines, benches — sits on this one poll/commit/watermark
 /// implementation instead of hand-rolling its own loop.
 ///
 /// Commit-on-checkpoint: the driver reads at in-memory per-partition

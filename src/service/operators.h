@@ -79,7 +79,6 @@ class WindowDeltaOperator : public Operator {
   Status RestoreState(std::string_view snapshot) override;
   size_t StateSize() const override;
   size_t StateBytesApprox() const override;
-  bool IsStateless() const override { return false; }
   void AttachMetrics(MetricsRegistry* registry,
                      const LabelSet& labels) override;
 
@@ -128,7 +127,6 @@ class PlanDeltaOperator : public Operator {
   Status RestoreState(std::string_view snapshot) override;
   size_t StateSize() const override;
   size_t StateBytesApprox() const override;
-  bool IsStateless() const override { return false; }
 
  private:
   R2SKind output_;
@@ -198,10 +196,6 @@ class SubscriptionSinkOperator : public Operator {
                         const OperatorContext& ctx, Collector* out) override;
   Status OnWatermark(Timestamp watermark, const OperatorContext& ctx,
                      Collector* out) override;
-
-  /// Pending (unflushed) records are re-derivable from upstream state;
-  /// the sink itself checkpoints empty.
-  bool IsStateless() const override { return true; }
 
   /// \brief Wires the per-query instruments (any may be null). On each
   /// watermark flush the sink observes end-to-end latency (now minus the

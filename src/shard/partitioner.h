@@ -18,8 +18,7 @@
 /// byte-identical, no Value materialisation) on the columnar path, and is
 /// exactly the cell-key format KeyedStateBackend snapshots use (window
 /// state keys are TupleToBytes of the key projection). The shard index is
-/// Fnv1a64(key_bytes) % nshards — the same stable hash ParallelPipeline
-/// routes with.
+/// Fnv1a64(key_bytes) % nshards.
 
 #include <cstddef>
 #include <string>

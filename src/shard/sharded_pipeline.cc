@@ -31,7 +31,26 @@ ShardedPipeline::ShardedPipeline(size_t nshards, ChainFactory factory,
     : nshards_(nshards == 0 ? 1 : nshards),
       factory_(std::move(factory)),
       ingest_key_(std::move(ingest_key)),
-      options_(options) {}
+      options_(options) {
+  // Planned here, not in Start(), so BarrierFanIn() is exact when a
+  // coordinator sizes its barrier aligner before Start().
+  plan_status_ = Plan();
+}
+
+Status ShardedPipeline::Plan() {
+  // Plan on a probe copy of the chain (never executed).
+  CQ_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<Operator>> probe,
+                      factory_(0));
+  std::vector<const Operator*> probe_ptrs;
+  probe_ptrs.reserve(probe.size());
+  for (const auto& op : probe) probe_ptrs.push_back(op.get());
+  CQ_ASSIGN_OR_RETURN(stages_,
+                      ShardPlanner::PlanChain(probe_ptrs, ingest_key_));
+  for (const ChainStage& st : stages_) {
+    stage_parts_.emplace_back(nshards_, st.partition_key);
+  }
+  return Status::OK();
+}
 
 ShardedPipeline::~ShardedPipeline() {
   if (started_ && !finished_) {
@@ -46,19 +65,8 @@ ShardedPipeline::~ShardedPipeline() {
 
 Status ShardedPipeline::Start() {
   if (started_) return Status::InvalidArgument("pipeline already started");
-
-  // Plan on a probe copy of the chain (never executed).
-  CQ_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<Operator>> probe,
-                      factory_(0));
-  std::vector<const Operator*> probe_ptrs;
-  probe_ptrs.reserve(probe.size());
-  for (const auto& op : probe) probe_ptrs.push_back(op.get());
-  CQ_ASSIGN_OR_RETURN(stages_, ShardPlanner::PlanChain(probe_ptrs, ingest_key_));
-
-  stage_parts_.clear();
-  for (const ChainStage& st : stages_) {
-    stage_parts_.emplace_back(nshards_, st.partition_key);
-  }
+  CQ_RETURN_NOT_OK(plan_status_);
+  const size_t chain_len = stages_.back().end;
 
   tasks_.clear();
   tasks_.resize(stages_.size());
@@ -68,7 +76,7 @@ Status ShardedPipeline::Start() {
       tasks_[s][i] = std::make_unique<Task>();
       CQ_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<Operator>> chain,
                           factory_(i));
-      if (chain.size() != probe.size()) {
+      if (chain.size() != chain_len) {
         return Status::InvalidArgument(
             "chain factory returned differently shaped chains");
       }
@@ -262,8 +270,7 @@ Result<BoundedStream> ShardedPipeline::Finish() {
   }
   CQ_RETURN_NOT_OK(flush);
 
-  // Deterministic merge of the final-stage outputs, mirroring
-  // ParallelPipeline::Finish.
+  // Deterministic merge of the final-stage outputs.
   std::vector<StreamElement> all;
   for (auto& t : tasks_.back()) {
     for (const StreamElement& e : *t->output) {

@@ -37,7 +37,11 @@
 /// into a pipeline with a different shard count re-hashes every
 /// KeyedStateBackend cell of every KeyedStateReshardable operator through
 /// the snapshot codec (N→M re-shard). Producer-facing API (Send/Flush/
-/// InjectBarrier/Checkpoint) is single-threaded, like ParallelPipeline.
+/// InjectBarrier/Checkpoint) is single-threaded.
+///
+/// A one-stage pipeline (every key requirement met by the ingest split) is
+/// the classic keyed-parallel actor layer: P tasks, each a full chain copy
+/// over its hash shard of the key space.
 
 #include <atomic>
 #include <functional>
@@ -79,13 +83,15 @@ class ShardedPipeline : public ft::Checkpointable,
 
   /// \brief `ingest_key` is the column key the producer splits by at
   /// ingest; leave empty to let the planner hoist the chain's first key
-  /// requirement to the ingest split (see ShardPlanner::PlanChain).
+  /// requirement to the ingest split (see ShardPlanner::PlanChain). Plans
+  /// the stages on a probe chain from `factory`; a planning error surfaces
+  /// from Start().
   ShardedPipeline(size_t nshards, ChainFactory factory,
                   std::vector<size_t> ingest_key,
                   ShardedPipelineOptions options = {});
   ~ShardedPipeline() override;
 
-  /// \brief Plans the chain, builds the task grid, starts task threads.
+  /// \brief Builds the task grid and starts the task threads.
   Status Start();
 
   /// \brief Routes a record to the ingest shard owning its key; ships the
@@ -113,7 +119,7 @@ class ShardedPipeline : public ft::Checkpointable,
   /// \brief Flushes, closes the ingest channels, joins every task in stage
   /// order (each finishing stage closes its downstream channels), and
   /// returns all final-stage outputs merged and sorted by (timestamp,
-  /// tuple order) — the same deterministic merge ParallelPipeline uses.
+  /// tuple order).
   Result<BoundedStream> Finish();
 
   // --- ft::Checkpointable -------------------------------------------------
@@ -158,7 +164,8 @@ class ShardedPipeline : public ft::Checkpointable,
   /// injected in increasing order; do not Finish with a barrier in flight.
   Status InjectBarrier(uint64_t epoch) override;
 
-  /// \brief 1 meta slot + one slot per (stage, shard) task.
+  /// \brief 1 meta slot + one slot per (stage, shard) task; exact from
+  /// construction on.
   size_t BarrierFanIn() const override;
 
   // --- observability ------------------------------------------------------
@@ -181,7 +188,7 @@ class ShardedPipeline : public ft::Checkpointable,
   void set_columnar_enabled(bool enabled) { columnar_enabled_ = enabled; }
 
   size_t nshards() const { return nshards_; }
-  /// \brief Stage plan (valid after Start()).
+  /// \brief Stage plan (empty if planning failed; see Start()).
   const std::vector<ChainStage>& stages() const { return stages_; }
   size_t num_stages() const { return stages_.size(); }
   /// \brief Ingest records routed to shard `i` so far (producer thread).
@@ -222,6 +229,8 @@ class ShardedPipeline : public ft::Checkpointable,
   /// [stage.begin, stage.end), exchange or collect-sink tail.
   Status BuildTask(size_t stage, size_t shard,
                    std::vector<std::unique_ptr<Operator>> chain);
+  /// Plans the stages on a probe chain (constructor only).
+  Status Plan();
   void TaskLoop(size_t stage, size_t shard);
   /// Delivers one popped envelope into the task executor (columnar payload
   /// or element runs with watermark merge / barrier alignment).
@@ -261,6 +270,7 @@ class ShardedPipeline : public ft::Checkpointable,
   ShardedPipelineOptions options_;
   ft::BarrierInjectable::BarrierHandler barrier_handler_;
 
+  Status plan_status_;
   std::vector<ChainStage> stages_;
   std::vector<ShardPartitioner> stage_parts_;  // entry partitioner per stage
   std::vector<std::vector<std::unique_ptr<Task>>> tasks_;  // [stage][shard]

@@ -4,7 +4,7 @@
 
 #include "dataflow/executor.h"
 #include "dataflow/operators.h"
-#include "dataflow/parallel.h"
+#include "shard/sharded_pipeline.h"
 
 namespace cq {
 namespace {
@@ -78,23 +78,17 @@ TEST(ExecutorFailureTest, PushToUnknownNodeRejected) {
   EXPECT_TRUE(exec.PushRecord(99, T(1), 1).IsInvalidArgument());
 }
 
-TEST(ParallelFailureTest, WorkerErrorReportedAtFinish) {
-  ParallelPipeline pipeline(
-      2,
-      [](size_t) -> Result<WorkerPipeline> {
-        WorkerPipeline p;
-        p.output = std::make_unique<BoundedStream>();
-        auto g = std::make_unique<DataflowGraph>();
-        p.source = g->AddNode(std::make_unique<PassThroughOperator>("src"));
-        NodeId poison = g->AddNode(std::make_unique<PoisonOperator>(7));
-        NodeId sink = g->AddNode(
-            std::make_unique<CollectSinkOperator>("sink", p.output.get()));
-        CQ_RETURN_NOT_OK(g->Connect(p.source, poison));
-        CQ_RETURN_NOT_OK(g->Connect(poison, sink));
-        p.executor = std::make_unique<PipelineExecutor>(std::move(g));
-        return p;
-      },
-      ProjectKeyFn({0}));
+/// A one-stage sharded chain: poison(`poison`), then the pipeline's sink.
+shard::ShardedPipeline::ChainFactory PoisonChain(int64_t poison) {
+  return [poison](size_t) -> Result<std::vector<std::unique_ptr<Operator>>> {
+    std::vector<std::unique_ptr<Operator>> ops;
+    ops.push_back(std::make_unique<PoisonOperator>(poison));
+    return ops;
+  };
+}
+
+TEST(ShardedFailureTest, WorkerErrorReportedAtFinish) {
+  shard::ShardedPipeline pipeline(2, PoisonChain(7), {0});
   ASSERT_TRUE(pipeline.Start().ok());
   for (int64_t i = 0; i < 20; ++i) {
     ASSERT_TRUE(pipeline.Send(T(i), i).ok());  // includes the poisoned 7
@@ -104,22 +98,16 @@ TEST(ParallelFailureTest, WorkerErrorReportedAtFinish) {
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
 }
 
-TEST(ParallelFailureTest, FactoryErrorFailsStart) {
-  ParallelPipeline pipeline(
+TEST(ShardedFailureTest, FactoryErrorFailsStart) {
+  shard::ShardedPipeline pipeline(
       3,
-      [](size_t i) -> Result<WorkerPipeline> {
-        if (i == 2) return Status::IOError("worker 2 cannot start");
-        WorkerPipeline p;
-        p.output = std::make_unique<BoundedStream>();
-        auto g = std::make_unique<DataflowGraph>();
-        p.source = g->AddNode(std::make_unique<PassThroughOperator>("src"));
-        NodeId sink = g->AddNode(
-            std::make_unique<CollectSinkOperator>("sink", p.output.get()));
-        CQ_RETURN_NOT_OK(g->Connect(p.source, sink));
-        p.executor = std::make_unique<PipelineExecutor>(std::move(g));
-        return p;
+      [](size_t i) -> Result<std::vector<std::unique_ptr<Operator>>> {
+        if (i == 2) return Status::IOError("shard 2 cannot start");
+        std::vector<std::unique_ptr<Operator>> ops;
+        ops.push_back(std::make_unique<PassThroughOperator>("pass"));
+        return ops;
       },
-      ProjectKeyFn({0}));
+      {0});
   EXPECT_TRUE(pipeline.Start().code() == StatusCode::kIOError);
 }
 
@@ -156,29 +144,14 @@ TEST(ChannelFailureTest, ExhaustedCreditsBlockAndDrain) {
   EXPECT_EQ(drained, 4u);
 }
 
-TEST(ParallelFailureTest, WorkerStopsConsumingAfterError) {
-  ParallelPipelineOptions opts;
+TEST(ShardedFailureTest, WorkerStopsConsumingAfterError) {
+  shard::ShardedPipelineOptions opts;
   opts.batch_size = 1;
   opts.channel_credits = 2;
-  ParallelPipeline pipeline(
-      1,
-      [](size_t) -> Result<WorkerPipeline> {
-        WorkerPipeline p;
-        p.output = std::make_unique<BoundedStream>();
-        auto g = std::make_unique<DataflowGraph>();
-        p.source = g->AddNode(std::make_unique<PassThroughOperator>("src"));
-        NodeId poison = g->AddNode(std::make_unique<PoisonOperator>(7));
-        NodeId sink = g->AddNode(
-            std::make_unique<CollectSinkOperator>("sink", p.output.get()));
-        CQ_RETURN_NOT_OK(g->Connect(p.source, poison));
-        CQ_RETURN_NOT_OK(g->Connect(poison, sink));
-        p.executor = std::make_unique<PipelineExecutor>(std::move(g));
-        return p;
-      },
-      ProjectKeyFn({0}), opts);
+  shard::ShardedPipeline pipeline(1, PoisonChain(7), {0}, opts);
   ASSERT_TRUE(pipeline.Start().ok());
-  ASSERT_TRUE(pipeline.Send(T(7), 1).ok());  // poisons the only worker
-  // The failed worker stops consuming and closes its channel, so subsequent
+  ASSERT_TRUE(pipeline.Send(T(7), 1).ok());  // poisons the only task
+  // The failed task stops consuming and closes its channel, so subsequent
   // sends surface its error instead of queueing behind a dead consumer
   // (with 2 credits an unhealthy channel would block the 3rd send forever).
   Status st;

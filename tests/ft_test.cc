@@ -10,7 +10,6 @@
 #include <sstream>
 
 #include "dataflow/operators.h"
-#include "dataflow/parallel.h"
 #include "dataflow/source.h"
 #include "dataflow/window_operator.h"
 #include "ft/barrier.h"
@@ -23,6 +22,7 @@
 #include "obs/flight_recorder.h"
 #include "queue/broker.h"
 #include "runtime/driver.h"
+#include "shard/sharded_pipeline.h"
 #include "types/serde.h"
 
 namespace cq {
@@ -302,20 +302,14 @@ std::multiset<std::string> ExpectedPublishedRecords() {
   return expected;
 }
 
-/// A fenced parallel pipeline: src -> EpochSinkOperator per worker. The
-/// sinks never publish themselves — staged buffers travel inside the
-/// checkpoint image and the coordinator publishes them from the store.
-ParallelPipeline::Factory FenceFactory(ft::DurableOutputLog* log) {
-  return [log](size_t index) -> Result<WorkerPipeline> {
-    WorkerPipeline p;
-    p.output = std::make_unique<BoundedStream>();
-    auto g = std::make_unique<DataflowGraph>();
-    p.source = g->AddNode(std::make_unique<PassThroughOperator>("src"));
-    NodeId sink_id = g->AddNode(
-        std::make_unique<ft::EpochSinkOperator>("sink", log, index));
-    CQ_RETURN_NOT_OK(g->Connect(p.source, sink_id));
-    p.executor = std::make_unique<PipelineExecutor>(std::move(g));
-    return p;
+/// A fenced sharded pipeline: one EpochSinkOperator per shard. The sinks
+/// never publish themselves — staged buffers travel inside the checkpoint
+/// image and the coordinator publishes them from the store.
+shard::ShardedPipeline::ChainFactory FenceChain(ft::DurableOutputLog* log) {
+  return [log](size_t shard) -> Result<std::vector<std::unique_ptr<Operator>>> {
+    std::vector<std::unique_ptr<Operator>> ops;
+    ops.push_back(std::make_unique<ft::EpochSinkOperator>("sink", log, shard));
+    return ops;
   };
 }
 
@@ -337,10 +331,9 @@ Status RunFencedPipelineOnce(Broker* broker, const std::string& snap_dir,
   ft::SnapshotStore store(snap_dir, store_opts);
   CQ_RETURN_NOT_OK(store.Init());
 
-  ParallelPipelineOptions popts;
+  shard::ShardedPipelineOptions popts;
   popts.batch_size = 8;
-  ParallelPipeline pipeline(kParallelism, FenceFactory(&log),
-                            ProjectKeyFn({0}), popts);
+  shard::ShardedPipeline pipeline(kParallelism, FenceChain(&log), {0}, popts);
   BrokerSourceDriver driver(broker, "tx", "g");
 
   ft::CheckpointCoordinator coord(&pipeline, &store);
@@ -569,25 +562,35 @@ TEST_F(FtTest, BarrierFenceExactlyOnceUnderStageAndPublishFaults) {
 // Barrier (in-band) checkpoints
 // ---------------------------------------------------------------------------
 
-ParallelPipeline::Factory SumFactory() {
-  return [](size_t) -> Result<WorkerPipeline> {
-    WindowedAggregateConfig cfg;
-    cfg.assigner = std::make_shared<TumblingWindowAssigner>(10);
-    cfg.key_indexes = {0};
-    cfg.aggs.push_back({AggregateKind::kSum, Col(1), "sum"});
-    WorkerPipeline p;
-    p.output = std::make_unique<BoundedStream>();
-    auto g = std::make_unique<DataflowGraph>();
-    p.source = g->AddNode(std::make_unique<PassThroughOperator>("src"));
-    NodeId win = g->AddNode(
-        std::make_unique<WindowedAggregateOperator>("win", std::move(cfg)));
-    NodeId sink = g->AddNode(
-        std::make_unique<CollectSinkOperator>("sink", p.output.get()));
-    CQ_RETURN_NOT_OK(g->Connect(p.source, win));
-    CQ_RETURN_NOT_OK(g->Connect(win, sink));
-    p.executor = std::make_unique<PipelineExecutor>(std::move(g));
-    return p;
+WindowedAggregateConfig SumConfig() {
+  WindowedAggregateConfig cfg;
+  cfg.assigner = std::make_shared<TumblingWindowAssigner>(10);
+  cfg.key_indexes = {0};
+  cfg.aggs.push_back({AggregateKind::kSum, Col(1), "sum"});
+  return cfg;
+}
+
+/// Keyed windowed SUM(col 1) by col 0, as a sharded chain.
+shard::ShardedPipeline::ChainFactory SumChain() {
+  return [](size_t) -> Result<std::vector<std::unique_ptr<Operator>>> {
+    std::vector<std::unique_ptr<Operator>> ops;
+    ops.push_back(
+        std::make_unique<WindowedAggregateOperator>("win", SumConfig()));
+    return ops;
   };
+}
+
+/// The same SUM as one synchronous executor: src -> win -> sink.
+std::unique_ptr<PipelineExecutor> SumExecutor(BoundedStream* out,
+                                              NodeId* src) {
+  auto g = std::make_unique<DataflowGraph>();
+  *src = g->AddNode(std::make_unique<PassThroughOperator>("src"));
+  NodeId win = g->AddNode(
+      std::make_unique<WindowedAggregateOperator>("win", SumConfig()));
+  NodeId sink = g->AddNode(std::make_unique<CollectSinkOperator>("sink", out));
+  EXPECT_TRUE(g->Connect(*src, win).ok());
+  EXPECT_TRUE(g->Connect(win, sink).ok());
+  return std::make_unique<PipelineExecutor>(std::move(g));
 }
 
 TEST_F(FtTest, BarrierCheckpointSnapshotsWithoutStoppingTheWorld) {
@@ -595,14 +598,14 @@ TEST_F(FtTest, BarrierCheckpointSnapshotsWithoutStoppingTheWorld) {
   ft::SnapshotStore store(dir);
   ASSERT_TRUE(store.Init().ok());
 
-  auto send_half = [](ParallelPipeline* p, int64_t ts) {
+  auto send_half = [](shard::ShardedPipeline* p, int64_t ts) {
     for (int i = 0; i < 30; ++i) {
       ASSERT_TRUE(p->Send(T2(i % 3, 1), ts).ok());
     }
   };
 
   // Reference: uninterrupted run over both halves.
-  ParallelPipeline ref(2, SumFactory(), ProjectKeyFn({0}));
+  shard::ShardedPipeline ref(2, SumChain(), {0});
   ASSERT_TRUE(ref.Start().ok());
   send_half(&ref, 5);
   send_half(&ref, 15);
@@ -612,7 +615,7 @@ TEST_F(FtTest, BarrierCheckpointSnapshotsWithoutStoppingTheWorld) {
 
   // Barrier run: inject the barrier between the halves and KEEP SENDING —
   // alignment happens in-band while the second half is processed.
-  ParallelPipeline a(2, SumFactory(), ProjectKeyFn({0}));
+  shard::ShardedPipeline a(2, SumChain(), {0});
   ft::CheckpointCoordinator coord(&a, &store);
   a.SetBarrierHandler(coord.Handler(a.BarrierFanIn()));
   ASSERT_TRUE(a.Start().ok());
@@ -628,7 +631,7 @@ TEST_F(FtTest, BarrierCheckpointSnapshotsWithoutStoppingTheWorld) {
   // Restore the barrier snapshot into a fresh pipeline; replaying only the
   // post-barrier half must reproduce the reference — proof the snapshot
   // captured exactly the pre-barrier prefix.
-  ParallelPipeline b(2, SumFactory(), ProjectKeyFn({0}));
+  shard::ShardedPipeline b(2, SumChain(), {0});
   ASSERT_TRUE(b.Start().ok());
   ft::RecoveryManager recovery(&store);
   auto report = *recovery.Recover(&b, nullptr);
@@ -648,42 +651,44 @@ TEST_F(FtTest, BarrierCheckpointSnapshotsWithoutStoppingTheWorld) {
 // Unified Checkpointable traversal across both pipeline shapes
 // ---------------------------------------------------------------------------
 
-TEST_F(FtTest, ExecutorAndParallelShareTheCheckpointCodec) {
-  // A synchronous executor's image and a parallel pipeline's image use the
+TEST_F(FtTest, ExecutorAndShardedShareTheCheckpointCodec) {
+  // A synchronous executor's image and a sharded pipeline's image use the
   // same outer codec: both decode with DecodeCheckpointImage, and slot
-  // counts expose the shape (nodes vs workers).
-  auto exec_factory = SumFactory();
-  Result<WorkerPipeline> wp_result = exec_factory(0);
-  WorkerPipeline wp = std::move(*wp_result);
-  ASSERT_TRUE(wp.executor->PushRecord(wp.source, T2(1, 1), 5).ok());
-  std::string exec_image = *wp.executor->Checkpoint({{"tx/0", 1}});
+  // counts expose the shape (nodes vs meta slot plus tasks).
+  BoundedStream out;
+  NodeId src = 0;
+  auto exec = SumExecutor(&out, &src);
+  ASSERT_TRUE(exec->PushRecord(src, T2(1, 1), 5).ok());
+  std::string exec_image = *exec->Checkpoint({{"tx/0", 1}});
   auto exec_decoded = *ft::DecodeCheckpointImage(exec_image);
   EXPECT_EQ(exec_decoded.slots.size(), 3u);  // src, win, sink
   EXPECT_EQ(exec_decoded.source_offsets.at("tx/0"), 1);
 
-  ParallelPipeline p(2, SumFactory(), ProjectKeyFn({0}));
+  shard::ShardedPipeline p(3, SumChain(), {0});
   ASSERT_TRUE(p.Start().ok());
   ASSERT_TRUE(p.Send(T2(1, 1), 5).ok());
-  std::string par_image = *p.Checkpoint({{"tx/0", 1}});
-  auto par_decoded = *ft::DecodeCheckpointImage(par_image);
-  EXPECT_EQ(par_decoded.slots.size(), 2u);  // one slot per worker
-  ASSERT_TRUE(p.Finish().ok());
+  std::string sharded_image = *p.Checkpoint({{"tx/0", 1}});
+  auto sharded_decoded = *ft::DecodeCheckpointImage(sharded_image);
+  EXPECT_EQ(sharded_decoded.slots.size(), 4u);  // meta slot + one per task
+  EXPECT_EQ(sharded_decoded.source_offsets.at("tx/0"), 1);
 
-  // Slot-count mismatches are rejected by both restore paths.
-  EXPECT_FALSE(wp.executor->RestoreSlots(par_decoded.slots).ok());
+  // Shape mismatches are rejected by both restore paths.
+  EXPECT_FALSE(exec->RestoreSlots(sharded_decoded.slots).ok());
+  EXPECT_FALSE(p.RestoreSlots(exec_decoded.slots).ok());
+  ASSERT_TRUE(p.Finish().ok());
 }
 
 /// Barriers are a runtime-internal protocol: they must never leak into
 /// operators or the synchronous executor.
 TEST_F(FtTest, BarriersDoNotLeakIntoTheSynchronousExecutor) {
-  auto factory = SumFactory();
-  Result<WorkerPipeline> wp_result = factory(0);
-  WorkerPipeline wp = std::move(*wp_result);
-  EXPECT_FALSE(wp.executor->Push(wp.source, StreamElement::Barrier(1)).ok());
+  BoundedStream out;
+  NodeId src = 0;
+  auto exec = SumExecutor(&out, &src);
+  EXPECT_FALSE(exec->Push(src, StreamElement::Barrier(1)).ok());
   StreamBatch batch;
   batch.AddRecord(T2(1, 1), 1);
   batch.Add(StreamElement::Barrier(1));
-  EXPECT_FALSE(wp.executor->PushBatch(wp.source, batch).ok());
+  EXPECT_FALSE(exec->PushBatch(src, batch).ok());
 }
 
 }  // namespace

@@ -689,21 +689,38 @@ TEST(NetServerTest, HttpGetServedFromTheSameLoop) {
   // Touch the protocol first so metrics families exist.
   TestClient proto(rig.server->port());
   ASSERT_EQ(proto.Cmd("STREAM trades sym:string,price:int64,qty:int64"), "OK");
+  rig.registry.GetCounter("cq_test_requests_total")->Increment(3);
 
-  TestClient http(rig.server->port());
-  std::string req = "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n";
-  ASSERT_EQ(write(http.fd(), req.data(), req.size()),
-            static_cast<ssize_t>(req.size()));
-  std::string resp = http.ReadExactly(1 << 20);  // server closes after
+  // One request per connection; the server closes after the response.
+  auto get = [&rig](const std::string& path) {
+    TestClient http(rig.server->port());
+    std::string req = "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n";
+    EXPECT_EQ(write(http.fd(), req.data(), req.size()),
+              static_cast<ssize_t>(req.size()));
+    return http.ReadExactly(1 << 20);
+  };
+
+  std::string resp = get("/metrics");
   EXPECT_NE(resp.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(resp.find("text/plain"), std::string::npos);
   EXPECT_NE(resp.find("cq_net_connections"), std::string::npos);
+  EXPECT_NE(resp.find("cq_test_requests_total 3"), std::string::npos);
 
-  TestClient notfound(rig.server->port());
-  req = "GET /nope HTTP/1.1\r\n\r\n";
-  ASSERT_EQ(write(notfound.fd(), req.data(), req.size()),
-            static_cast<ssize_t>(req.size()));
-  EXPECT_NE(notfound.ReadExactly(1 << 20).find("404"), std::string::npos);
+  // Handlers re-evaluate per request, and query strings route to the bare
+  // path.
+  rig.registry.GetCounter("cq_test_requests_total")->Increment();
+  EXPECT_NE(get("/metrics?x=1").find("cq_test_requests_total 4"),
+            std::string::npos);
+
+  std::string missing = get("/nope");
+  EXPECT_NE(missing.find("404"), std::string::npos);
+  EXPECT_NE(missing.find("/metrics"), std::string::npos);  // lists known paths
+
+  // A second server cannot take the bound port.
+  ServerConfig busy;
+  busy.port = rig.server->port();
+  Server other(&rig.backend, busy);
+  EXPECT_FALSE(other.Init().ok());
 }
 
 TEST(NetServerTest, SlowConsumerEvictionClosesTheConnection) {

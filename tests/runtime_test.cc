@@ -34,6 +34,25 @@ TEST(StreamBatchTest, Accessors) {
   EXPECT_EQ(b.MaxTimestamp(), kMinTimestamp);
 }
 
+TEST(ChannelTest, FifoBatchDelivery) {
+  Channel ch(10);
+  StreamBatch b1;
+  b1.AddRecord(T(1), 1);
+  b1.AddWatermark(5);
+  ASSERT_TRUE(ch.Push(std::move(b1)).ok());
+  StreamBatch got;
+  ASSERT_TRUE(ch.Pop(&got));
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_TRUE(got[0].is_record());
+  EXPECT_TRUE(got[1].is_watermark());
+  ch.Acknowledge();
+  ch.Close();
+  EXPECT_FALSE(ch.Pop(&got));
+  StreamBatch b2;
+  b2.AddWatermark(6);
+  EXPECT_TRUE(ch.Push(std::move(b2)).IsClosed());
+}
+
 TEST(ChannelTest, CreditsAccounting) {
   Channel ch(3);
   EXPECT_EQ(ch.credits_available(), 3u);

@@ -203,8 +203,9 @@ TEST(HashExchangeTest, ColumnarSplitMatchesRowSplit) {
 
 BoundedStream RunSharded(size_t nshards,
                          const ShardedPipeline::ChainFactory& factory,
-                         const TransactionWorkload& w, bool columnar) {
-  ShardedPipeline pipeline(nshards, factory, {});
+                         const TransactionWorkload& w, bool columnar,
+                         ShardedPipelineOptions options = {}) {
+  ShardedPipeline pipeline(nshards, factory, {}, options);
   pipeline.set_columnar_enabled(columnar);
   EXPECT_TRUE(pipeline.Start().ok());
   for (const auto& e : w.transactions) {
@@ -233,9 +234,15 @@ TEST(ShardedPipelineTest, ResultsIndependentOfShardCount) {
   BoundedStream s1 = RunSharded(1, SumChainFactory(), w, true);
   BoundedStream s4 = RunSharded(4, SumChainFactory(), w, true);
   BoundedStream s8 = RunSharded(8, SumChainFactory(), w, true);
+  // Tiny ship units and channel credits change only the interleaving.
+  ShardedPipelineOptions tiny;
+  tiny.batch_size = 3;
+  tiny.channel_credits = 2;
+  BoundedStream s4_tiny = RunSharded(4, SumChainFactory(), w, true, tiny);
   ASSERT_GT(s1.num_records(), 0u);
   ExpectSameStream(s1, s4);
   ExpectSameStream(s1, s8);
+  ExpectSameStream(s1, s4_tiny);
 }
 
 TEST(ShardedPipelineTest, RowAndColumnarExecutionAgree) {
@@ -416,7 +423,11 @@ TEST(ShardedPipelineTest, CheckpointRestoreRoundTrip) {
 }
 
 TEST(ShardedPipelineTest, LifecycleErrors) {
+  EXPECT_EQ(ShardedPipeline(0, SumChainFactory(), {}).nshards(), 1u);
   ShardedPipeline pipeline(2, SumChainFactory(), {});
+  // Exact before Start, when a coordinator sizes its barrier aligner:
+  // meta slot + one task per shard.
+  EXPECT_EQ(pipeline.BarrierFanIn(), 3u);
   EXPECT_FALSE(pipeline.Send(T2(1, 1), 1).ok());  // not started
   ASSERT_TRUE(pipeline.Start().ok());
   EXPECT_FALSE(pipeline.Start().ok());  // double start
