@@ -97,16 +97,17 @@ void BM_TwoStacksCountWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_TwoStacksCountWindow)->Arg(16)->Arg(256)->Arg(4096);
 
-/// Executor-driven keyed sliding-window aggregation, columnar vs row: the
-/// accumulation kernel. range(0): 0 = row path forced, 1 = PushBatch shim
-/// (row input converted at the source), 2 = native columnar input. The
+/// Executor-driven keyed sliding-window aggregation, columnar vs per-element:
+/// the accumulation kernel. range(0): 0 = per-element reference (every
+/// record pushed on its own through Push; labelled "row"), 1 = PushBatch
+/// shim (row input converted at the source), 2 = native columnar input. The
 /// window kernel consumes the timestamp column and a vectorised
 /// aggregate-input column directly, encodes group keys straight from column
-/// storage, and folds into dense per-key window slots; the row path lifts
-/// one tuple at a time through variant dispatch. Output is identical across
-/// the three modes. Pane *emission* runs outside the timed region (one final
-/// watermark, same code on every mode) so the series measures the
-/// accumulation path the columnar refactor targets.
+/// storage, and folds into dense per-key window slots; the per-element path
+/// lifts one tuple at a time through variant dispatch. Output is identical
+/// across the three modes. Pane *emission* runs outside the timed region
+/// (one final watermark, same code on every mode) so the series measures
+/// the accumulation path the columnar refactor targets.
 void BM_ExecutorWindowedAggregation(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
   constexpr size_t kRecords = 16384;
@@ -146,10 +147,15 @@ void BM_ExecutorWindowedAggregation(benchmark::State& state) {
     (void)g->Connect(src, win);
     (void)g->Connect(win, sink);
     PipelineExecutor exec(std::move(g));
-    exec.set_columnar_enabled(mode != 0);
     state.ResumeTiming();
 
-    if (mode == 2) {
+    if (mode == 0) {
+      for (const StreamBatch& b : row_batches) {
+        for (const StreamElement& e : b.elements()) {
+          benchmark::DoNotOptimize(exec.Push(src, e));
+        }
+      }
+    } else if (mode == 2) {
       for (const ColumnarBatch& b : col_batches) {
         benchmark::DoNotOptimize(exec.PushColumnar(src, b));
       }

@@ -221,11 +221,12 @@ void BM_PipelineDelivery(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineDelivery)->Arg(0)->Arg(8)->Arg(64)->Arg(256);
 
-/// (c1b) Columnar vs row execution of the same logical pipeline, expressed
-/// with Expr-based filter + projection so the vectorized kernels engage.
-/// range(0): 0 = row path forced (columnar disabled on the executor);
-/// 1 = the PushBatch shim (row input, converted to columns at the source);
-/// 2 = native columnar input (pre-built ColumnarBatch, as delivered by
+/// (c1b) Columnar vs per-element execution of the same logical pipeline,
+/// expressed with Expr-based filter + projection so the vectorized kernels
+/// engage. range(0): 0 = the per-element reference (each record pushed on
+/// its own through Push; labelled "row"); 1 = the PushBatch shim (row
+/// input, converted to columns at the source); 2 = native columnar input
+/// (pre-built ColumnarBatch, as delivered by
 /// BrokerSourceDriver::PollColumnarBatch). Output is byte-identical across
 /// the three — the row/native gap is the vectorisation win, the shim/native
 /// gap is the row->column conversion cost at the boundary.
@@ -246,7 +247,6 @@ void BM_ColumnarPipeline(benchmark::State& state) {
   (void)g->Connect(filt, proj);
   (void)g->Connect(proj, sink);
   PipelineExecutor exec(std::move(g));
-  exec.set_columnar_enabled(mode != 0);
 
   constexpr size_t kRecords = 4096;
   constexpr size_t kBatch = 1024;
@@ -267,7 +267,13 @@ void BM_ColumnarPipeline(benchmark::State& state) {
   }
 
   for (auto _ : state) {
-    if (mode == 2) {
+    if (mode == 0) {
+      for (const StreamBatch& b : row_batches) {
+        for (const StreamElement& e : b.elements()) {
+          benchmark::DoNotOptimize(exec.Push(src, e));
+        }
+      }
+    } else if (mode == 2) {
       for (const ColumnarBatch& b : col_batches) {
         benchmark::DoNotOptimize(exec.PushColumnar(src, b));
       }

@@ -23,9 +23,9 @@ threads, and the epoll front door whose loop thread races client
 threads) — the threaded core.
 --asan builds with AddressSanitizer (default build dir: build-asan) and
 runs the state/durability test binaries (ft, kvstore, snapshot, queue,
-and the sharded pipeline's checkpoint/restore) plus the net frame/buffer
-parsing — the buffers and file framing the fault-tolerance and wire
-layers serialize.
+and the sharded pipeline's checkpoint/restore), the types serde decoder,
+and the net frame/buffer parsing — the buffers, byte decoders and file
+framing the fault-tolerance and wire layers serialize.
 --ubsan builds with UndefinedBehaviorSanitizer (default build dir:
 build-ubsan) and runs the columnar/typed-kernel test binaries (types,
 columnar, expr, batch equivalence, window equivalence, aggregates) —
@@ -84,11 +84,11 @@ if [[ "$ASAN" == 1 ]]; then
   echo "== build (asan) =="
   cmake --build "$BUILD_DIR" -j"$(nproc)" --target \
     ft_test kvstore_test snapshot_test state_test queue_test shard_test \
-    net_test
+    types_test net_test
 
-  echo "== ctest (asan: ft/state/durability + net framing) =="
+  echo "== ctest (asan: ft/state/durability + serde + net framing) =="
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \
-    -R 'ft_test|kvstore_test|snapshot_test|state_test|queue_test|shard_test|net_test'
+    -R 'ft_test|kvstore_test|snapshot_test|state_test|queue_test|shard_test|types_test|net_test'
 
   echo "tier-1 asan check: OK"
   exit 0

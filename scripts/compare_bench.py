@@ -27,9 +27,10 @@ Ratifying a performance step (--expect-improvement, repeatable):
 Each spec is `FAST_RE>SLOW_RE=FACTOR[@COUNTER]`: within every *current*
 results file whose cases match both regexes, the mean throughput of the
 FAST cases must be at least FACTOR times the mean of the SLOW cases. This
-is how a claimed speedup (e.g. the columnar series vs the row series) is
-asserted once when the new baselines are committed; a spec that matches
-nothing FAILS, so a renamed bench cannot silently void the claim.
+is how a claimed speedup (e.g. the columnar series vs the row series, which
+pushes the same records one at a time through the per-element reference
+path) is asserted once when the new baselines are committed; a spec that
+matches nothing FAILS, so a renamed bench cannot silently void the claim.
 
 With an `@COUNTER` suffix the claim is about a reported counter where
 SMALLER is better (e.g. `operators`): the mean of the SLOW cases' counter

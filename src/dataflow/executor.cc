@@ -9,16 +9,25 @@ namespace cq {
 
 namespace {
 
-/// Routes an operator's emissions to its downstream nodes, recursively.
-class RoutingCollector : public Collector {
+/// The per-element reference path over a run of records.
+Status ProcessEach(Operator* op, size_t port, const StreamElement* data,
+                   size_t count, const OperatorContext& ctx, Collector* out) {
+  for (size_t i = 0; i < count; ++i) {
+    CQ_RETURN_NOT_OK(op->ProcessElement(port, data[i], ctx, out));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+/// Routes an operator's emissions to its downstream nodes, recursively and
+/// depth-first: each emitted element is fully delivered before the next.
+class PipelineExecutor::RoutingCollector : public Collector {
  public:
-  using DeliverFn =
-      std::function<Status(NodeId, size_t, const StreamElement&)>;
-  RoutingCollector(const std::vector<DataflowGraph::Edge>* edges,
-                   DeliverFn deliver, Counter* records_out = nullptr)
-      : edges_(edges),
-        deliver_(std::move(deliver)),
-        records_out_(records_out) {}
+  RoutingCollector(PipelineExecutor* exec, NodeId node, NodeMetrics* m)
+      : exec_(exec),
+        edges_(&exec->graph_->outputs(node)),
+        records_out_(m != nullptr ? m->records_out : nullptr) {}
 
   void Emit(StreamElement element) override {
     if (element.is_record()) {
@@ -26,7 +35,9 @@ class RoutingCollector : public Collector {
       ++emitted_records_;
     }
     for (const auto& e : *edges_) {
-      Status s = deliver_(e.to, e.port, element);
+      Status s = element.is_watermark()
+                     ? exec_->DeliverWatermark(e.to, e.port, element.timestamp)
+                     : exec_->Deliver(e.to, e.port, element);
       if (!s.ok() && status_.ok()) status_ = s;
     }
   }
@@ -35,14 +46,74 @@ class RoutingCollector : public Collector {
   size_t emitted_records() const { return emitted_records_; }
 
  private:
+  PipelineExecutor* exec_;
   const std::vector<DataflowGraph::Edge>* edges_;
-  DeliverFn deliver_;
   Counter* records_out_;
   size_t emitted_records_ = 0;
   Status status_;
 };
 
-}  // namespace
+/// Frames nest like the delivery recursion. Each pushes a child-time slot;
+/// on close it charges self time (its total minus the totals of the frames
+/// opened inside it) to the node's latency histogram, records the op span
+/// when traced, and adds its total to the enclosing frame's slot. The span
+/// name is built only when traced, so an untraced frame never allocates.
+class PipelineExecutor::NodeFrame {
+ public:
+  NodeFrame(PipelineExecutor* exec, NodeMetrics* m, const Operator* op,
+            bool traced, bool watermark = false)
+      : exec_(exec),
+        m_(m),
+        op_(op),
+        traced_(traced),
+        watermark_(watermark),
+        saved_parent_(exec->active_trace_.parent_span) {
+    if (traced_) {
+      span_id_ = NextSpanId();
+      exec_->active_trace_.parent_span = span_id_;
+    }
+    if (m_ != nullptr || traced_) {
+      exec_->child_time_ns_.push_back(0);
+      t0_ = MonotonicNanos();
+    }
+  }
+  NodeFrame(const NodeFrame&) = delete;
+  NodeFrame& operator=(const NodeFrame&) = delete;
+
+  ~NodeFrame() {
+    if (m_ == nullptr && !traced_) return;
+    std::vector<int64_t>& child_time = exec_->child_time_ns_;
+    const int64_t total = MonotonicNanos() - t0_;
+    const int64_t self = total - child_time.back();
+    child_time.pop_back();
+    if (m_ != nullptr) {
+      m_->process_latency_us->Observe(static_cast<double>(self) / 1e3);
+    }
+    if (traced_) {
+      Span span;
+      span.trace_id = exec_->active_trace_.trace_id;
+      span.span_id = span_id_;
+      span.parent_id = saved_parent_;
+      span.kind = SpanKind::kOp;
+      span.name = watermark_ ? op_->name() + ":wm" : op_->name();
+      span.start_ns = t0_;
+      span.duration_ns = self;
+      exec_->tracer_->Record(std::move(span));
+      exec_->active_trace_.parent_span = saved_parent_;
+    }
+    if (!child_time.empty()) child_time.back() += total;
+  }
+
+ private:
+  PipelineExecutor* exec_;
+  NodeMetrics* m_;
+  const Operator* op_;
+  const bool traced_;
+  const bool watermark_;
+  const uint64_t saved_parent_;
+  uint64_t span_id_ = 0;
+  int64_t t0_ = 0;
+};
 
 PipelineExecutor::PipelineExecutor(std::unique_ptr<DataflowGraph> graph,
                                    ProcessingTimeSource* clock)
@@ -230,7 +301,7 @@ Status PipelineExecutor::PushBatch(NodeId source, const StreamBatch& batch) {
   if (!graph_->is_live(source)) {
     return Status::InvalidArgument("no such node");
   }
-  if (columnar_enabled_ && ColumnarReach(source)) {
+  if (ColumnarReach(source)) {
     Result<ColumnarBatch> columnar = ColumnarBatch::FromRows(batch);
     if (columnar.ok()) {
       return DeliverColumnar(source, 0, std::move(*columnar));
@@ -248,7 +319,7 @@ Status PipelineExecutor::PushColumnar(NodeId source, ColumnarBatch batch) {
   if (!graph_->is_live(source)) {
     return Status::InvalidArgument("no such node");
   }
-  if (!columnar_enabled_ || !ColumnarReach(source)) {
+  if (!ColumnarReach(source)) {
     return FallbackToRows(source, 0, batch);
   }
   return DeliverColumnar(source, 0, std::move(batch));
@@ -266,32 +337,24 @@ Status PipelineExecutor::FallbackToRows(NodeId node, size_t port,
 Status PipelineExecutor::DeliverColumnar(NodeId node, size_t port,
                                          ColumnarBatch batch) {
   Operator* op = graph_->node(node);
-  switch (op->columnar_support()) {
-    case ColumnarSupport::kPassthrough:
-      return DeliverColumnarChain(node, port, std::move(batch),
-                                  /*is_transform=*/false);
-    case ColumnarSupport::kTransform: {
-      std::vector<ValueType> in_types;
-      in_types.reserve(batch.num_columns());
-      for (const Column& c : batch.columns()) in_types.push_back(c.type());
-      if (op->num_input_ports() == 1 &&
-          op->CanProcessColumnar(in_types, nullptr)) {
+  const ColumnarSupport support = op->columnar_support();
+  if (support == ColumnarSupport::kPassthrough) {
+    return DeliverColumnarChain(node, port, std::move(batch),
+                                /*is_transform=*/false);
+  }
+  if (support != ColumnarSupport::kNone) {
+    std::vector<ValueType> in_types;
+    in_types.reserve(batch.num_columns());
+    for (const Column& c : batch.columns()) in_types.push_back(c.type());
+    if (op->CanProcessColumnar(in_types, nullptr)) {
+      if (support == ColumnarSupport::kConsume) {
+        return DeliverColumnarConsume(node, port, batch);
+      }
+      if (op->num_input_ports() == 1) {
         return DeliverColumnarChain(node, port, std::move(batch),
                                     /*is_transform=*/true);
       }
-      break;
     }
-    case ColumnarSupport::kConsume: {
-      std::vector<ValueType> in_types;
-      in_types.reserve(batch.num_columns());
-      for (const Column& c : batch.columns()) in_types.push_back(c.type());
-      if (op->CanProcessColumnar(in_types, nullptr)) {
-        return DeliverColumnarConsume(node, port, batch);
-      }
-      break;
-    }
-    case ColumnarSupport::kNone:
-      break;
   }
   return FallbackToRows(node, port, batch);
 }
@@ -301,19 +364,7 @@ Status PipelineExecutor::DeliverColumnarChain(NodeId node, size_t port,
                                               bool is_transform) {
   NodeMetrics* m = metrics_ != nullptr ? &node_metrics_[node] : nullptr;
   Operator* op = graph_->node(node);
-  const bool tracing = TracingNow();
-  const bool timed = m != nullptr || tracing;
-  uint64_t span_id = 0;
-  uint64_t saved_parent = active_trace_.parent_span;
-  if (tracing) {
-    span_id = NextSpanId();
-    active_trace_.parent_span = span_id;
-  }
-  int64_t t0 = 0;
-  if (timed) {
-    child_time_ns_.push_back(0);
-    t0 = MonotonicNanos();
-  }
+  NodeFrame frame(this, m, op, TracingNow());
 
   const auto& marks = batch.watermarks();
   size_t input_selected = batch.SelectedCount();
@@ -375,7 +426,7 @@ Status PipelineExecutor::DeliverColumnarChain(NodeId node, size_t port,
     bool rows_built = false;
     for (size_t ei = 0; ei < edges.size(); ++ei) {
       const auto& e = edges[ei];
-      if (columnar_enabled_ && ColumnarReach(e.to)) {
+      if (ColumnarReach(e.to)) {
         if (ei + 1 == edges.size()) {
           st = DeliverColumnar(e.to, e.port, std::move(batch));
         } else {
@@ -394,28 +445,6 @@ Status PipelineExecutor::DeliverColumnarChain(NodeId node, size_t port,
     }
   }
 
-  if (timed) {
-    int64_t total = MonotonicNanos() - t0;
-    int64_t child = child_time_ns_.back();
-    child_time_ns_.pop_back();
-    int64_t self = total - child;
-    if (m != nullptr) {
-      m->process_latency_us->Observe(static_cast<double>(self) / 1e3);
-    }
-    if (tracing) {
-      Span span;
-      span.trace_id = active_trace_.trace_id;
-      span.span_id = span_id;
-      span.parent_id = saved_parent;
-      span.kind = SpanKind::kOp;
-      span.name = op->name();
-      span.start_ns = t0;
-      span.duration_ns = self;
-      tracer_->Record(std::move(span));
-    }
-    if (!child_time_ns_.empty()) child_time_ns_.back() += total;
-  }
-  active_trace_.parent_span = saved_parent;
   return st;
 }
 
@@ -423,19 +452,7 @@ Status PipelineExecutor::DeliverColumnarConsume(NodeId node, size_t port,
                                                 const ColumnarBatch& batch) {
   NodeMetrics* m = metrics_ != nullptr ? &node_metrics_[node] : nullptr;
   Operator* op = graph_->node(node);
-  const bool tracing = TracingNow();
-  const bool timed = m != nullptr || tracing;
-  uint64_t span_id = 0;
-  uint64_t saved_parent = active_trace_.parent_span;
-  if (tracing) {
-    span_id = NextSpanId();
-    active_trace_.parent_span = span_id;
-  }
-  int64_t t0 = 0;
-  if (timed) {
-    child_time_ns_.push_back(0);
-    t0 = MonotonicNanos();
-  }
+  NodeFrame frame(this, m, op, TracingNow());
 
   const auto& marks = batch.watermarks();
   Status st = Status::OK();
@@ -468,30 +485,14 @@ Status PipelineExecutor::DeliverColumnarConsume(NodeId node, size_t port,
                                       ContextFor(node), &collector, &handled);
       if (st.ok() && !handled) {
         // Kernel declined this segment (unsupported configuration):
-        // re-materialise just the segment and run the row hook.
+        // re-materialise just the segment and run it per element.
         all_handled = false;
         StreamBatch rows;
         batch.AppendRowsTo(&rows, begin, end);
-        st = op->ProcessBatch(port, rows.elements().data(), rows.size(),
-                              ContextFor(node), &collector);
+        st = ProcessEach(op, port, rows.elements().data(), rows.size(),
+                         ContextFor(node), &collector);
       }
-      if (st.ok()) {
-        if (m != nullptr) {
-          size_t records_out = 0;
-          for (const auto& e : emitted) {
-            if (e.is_record()) ++records_out;
-          }
-          m->records_out->Increment(records_out);
-          ObserveSelectivity(m, seg_selected, records_out);
-        }
-        if (!emitted.empty()) {
-          for (const auto& e : graph_->outputs(node)) {
-            st = DeliverSequence(e.to, e.port, emitted.data(),
-                                 emitted.size());
-            if (!st.ok()) break;
-          }
-        }
-      }
+      if (st.ok()) st = ForwardRun(node, m, seg_selected, emitted);
     }
     if (st.ok() && mark_idx < marks.size()) {
       st = DeliverWatermark(node, port, marks[mark_idx].ts);
@@ -506,28 +507,6 @@ Status PipelineExecutor::DeliverColumnarConsume(NodeId node, size_t port,
         ->Increment();
   }
 
-  if (timed) {
-    int64_t total = MonotonicNanos() - t0;
-    int64_t child = child_time_ns_.back();
-    child_time_ns_.pop_back();
-    int64_t self = total - child;
-    if (m != nullptr) {
-      m->process_latency_us->Observe(static_cast<double>(self) / 1e3);
-    }
-    if (tracing) {
-      Span span;
-      span.trace_id = active_trace_.trace_id;
-      span.span_id = span_id;
-      span.parent_id = saved_parent;
-      span.kind = SpanKind::kOp;
-      span.name = op->name();
-      span.start_ns = t0;
-      span.duration_ns = self;
-      tracer_->Record(std::move(span));
-    }
-    if (!child_time_ns_.empty()) child_time_ns_.back() += total;
-  }
-  active_trace_.parent_span = saved_parent;
   return st;
 }
 
@@ -552,6 +531,28 @@ Status PipelineExecutor::DeliverSequence(NodeId node, size_t port,
   return Status::OK();
 }
 
+Status PipelineExecutor::ForwardRun(NodeId node, NodeMetrics* m,
+                                    size_t records_in,
+                                    const std::vector<StreamElement>& emitted) {
+  if (m != nullptr) {
+    size_t records_out = 0;
+    for (const auto& e : emitted) {
+      if (e.is_record()) ++records_out;
+    }
+    m->records_out->Increment(records_out);
+    ObserveSelectivity(m, records_in, records_out);
+  }
+  // Each edge receives the full run, preserving per-element order along
+  // every path. Downstream spans parent to this node's span (the caller's
+  // open frame holds it as the active parent).
+  if (emitted.empty()) return Status::OK();
+  for (const auto& e : graph_->outputs(node)) {
+    CQ_RETURN_NOT_OK(
+        DeliverSequence(e.to, e.port, emitted.data(), emitted.size()));
+  }
+  return Status::OK();
+}
+
 Status PipelineExecutor::DeliverBatch(NodeId node, size_t port,
                                       const StreamElement* data,
                                       size_t count) {
@@ -560,19 +561,9 @@ Status PipelineExecutor::DeliverBatch(NodeId node, size_t port,
   Operator* op = graph_->node(node);
   std::vector<StreamElement> emitted;
   VectorCollector collector(&emitted);
-  const bool tracing = TracingNow();
-  const bool timed = m != nullptr || tracing;
-  uint64_t span_id = 0;
-  uint64_t saved_parent = active_trace_.parent_span;
-  if (tracing) {
-    span_id = NextSpanId();
-    active_trace_.parent_span = span_id;
-  }
-  int64_t t0 = 0;
-  if (timed) {
-    child_time_ns_.push_back(0);
-    t0 = MonotonicNanos();
-  }
+  // Self time covers the per-node metric bookkeeping (O(count) scans) and
+  // the routing glue, mirroring the per-element path.
+  NodeFrame frame(this, m, op, TracingNow());
   if (m != nullptr) {
     m->records_in->Increment(count);
     for (size_t i = 0; i < count; ++i) {
@@ -581,54 +572,14 @@ Status PipelineExecutor::DeliverBatch(NodeId node, size_t port,
       }
     }
   }
-  Status st = op->ProcessBatch(port, data, count, ContextFor(node), &collector);
-  if (st.ok() && m != nullptr) {
-    size_t records_out = 0;
-    for (const auto& e : emitted) {
-      if (e.is_record()) ++records_out;
-    }
-    m->records_out->Increment(records_out);
-    ObserveSelectivity(m, count, records_out);
-  }
-  // Route the buffered emissions downstream: each edge receives the full
-  // run, preserving per-element order along every path. Downstream spans
-  // parent to this node's span (active_trace_.parent_span still holds it).
-  if (st.ok() && !emitted.empty()) {
-    for (const auto& e : graph_->outputs(node)) {
-      st = DeliverSequence(e.to, e.port, emitted.data(), emitted.size());
-      if (!st.ok()) break;
-    }
-  }
-  // Destroy the emitted run inside the timed window: with large batches the
+  // ctx.watermark is constant across the run: watermarks split runs.
+  Status st = ProcessEach(op, port, data, count, ContextFor(node), &collector);
+  if (st.ok()) st = ForwardRun(node, m, count, emitted);
+  // Destroy the emitted run inside the frame: with large batches the
   // element destructors are a real cost, and it belongs to this node, not to
   // whatever the caller does next (a trailing watermark would otherwise see
   // the whole unwind as unattributed latency).
   emitted.clear();
-  if (timed) {
-    // Self time = this frame minus everything downstream delivered from it,
-    // mirroring the per-element path; per-node metric bookkeeping (O(count)
-    // scans) and routing glue are attributed here rather than leaking out.
-    int64_t total = MonotonicNanos() - t0;
-    int64_t child = child_time_ns_.back();
-    child_time_ns_.pop_back();
-    int64_t self = total - child;
-    if (m != nullptr) {
-      m->process_latency_us->Observe(static_cast<double>(self) / 1e3);
-    }
-    if (tracing) {
-      Span span;
-      span.trace_id = active_trace_.trace_id;
-      span.span_id = span_id;
-      span.parent_id = saved_parent;
-      span.kind = SpanKind::kOp;
-      span.name = op->name();
-      span.start_ns = t0;
-      span.duration_ns = self;
-      tracer_->Record(std::move(span));
-    }
-    if (!child_time_ns_.empty()) child_time_ns_.back() += total;
-  }
-  active_trace_.parent_span = saved_parent;
   return st;
 }
 
@@ -636,58 +587,21 @@ Status PipelineExecutor::Deliver(NodeId node, size_t port,
                                  const StreamElement& element) {
   NodeMetrics* m = metrics_ != nullptr ? &node_metrics_[node] : nullptr;
   Operator* op = graph_->node(node);
-  RoutingCollector collector(
-      &graph_->outputs(node),
-      [this](NodeId to, size_t to_port, const StreamElement& e) {
-        return e.is_watermark() ? DeliverWatermark(to, to_port, e.timestamp)
-                                : Deliver(to, to_port, e);
-      },
-      m != nullptr ? m->records_out : nullptr);
-  const bool tracing = TracingNow();
-  const bool timed = m != nullptr || tracing;
-  uint64_t span_id = 0;
-  uint64_t saved_parent = active_trace_.parent_span;
-  if (tracing) {
-    span_id = NextSpanId();
-    active_trace_.parent_span = span_id;
-  }
-  int64_t t0 = 0;
+  RoutingCollector collector(this, node, m);
   if (m != nullptr) {
     m->records_in->Increment();
     if (element.timestamp > m->max_event_ts) {
       m->max_event_ts = element.timestamp;
     }
   }
-  if (timed) {
-    child_time_ns_.push_back(0);
-    t0 = MonotonicNanos();
-  }
-  Status st = op->ProcessElement(port, element, ContextFor(node), &collector);
-  if (st.ok()) st = collector.status();
-  if (timed) {
-    // Self time: downstream deliveries (which ran inside collector.Emit)
-    // accounted their own totals into this frame's child accumulator.
-    int64_t total = MonotonicNanos() - t0;
-    int64_t child = child_time_ns_.back();
-    child_time_ns_.pop_back();
-    if (m != nullptr) {
-      m->process_latency_us->Observe(static_cast<double>(total - child) / 1e3);
-    }
-    if (tracing) {
-      Span span;
-      span.trace_id = active_trace_.trace_id;
-      span.span_id = span_id;
-      span.parent_id = saved_parent;
-      span.kind = SpanKind::kOp;
-      span.name = op->name();
-      span.start_ns = t0;
-      span.duration_ns = total - child;
-      tracer_->Record(std::move(span));
-    }
-    if (!child_time_ns_.empty()) child_time_ns_.back() += total;
+  Status st;
+  {
+    // Downstream deliveries run inside collector.Emit, within this frame.
+    NodeFrame frame(this, m, op, TracingNow());
+    st = op->ProcessElement(port, element, ContextFor(node), &collector);
+    if (st.ok()) st = collector.status();
   }
   if (m != nullptr) ObserveSelectivity(m, 1, collector.emitted_records());
-  active_trace_.parent_span = saved_parent;
   return st;
 }
 
@@ -715,26 +629,8 @@ Status PipelineExecutor::DeliverWatermarkImpl(NodeId node, size_t port,
   }
 
   Operator* op = graph_->node(node);
-  RoutingCollector collector(
-      &graph_->outputs(node),
-      [this](NodeId to, size_t to_port, const StreamElement& e) {
-        return e.is_watermark() ? DeliverWatermark(to, to_port, e.timestamp)
-                                : Deliver(to, to_port, e);
-      },
-      m != nullptr ? m->records_out : nullptr);
-  const bool tracing = TracingNow();
-  const bool timed = m != nullptr || tracing;
-  uint64_t span_id = 0;
-  uint64_t saved_parent = active_trace_.parent_span;
-  if (tracing) {
-    span_id = NextSpanId();
-    active_trace_.parent_span = span_id;
-  }
-  int64_t t0 = 0;
-  if (timed) {
-    child_time_ns_.push_back(0);
-    t0 = MonotonicNanos();
-  }
+  RoutingCollector collector(this, node, m);
+  NodeFrame frame(this, m, op, TracingNow(), /*watermark=*/true);
   Status st = op->OnWatermark(combined, ContextFor(node), &collector);
   if (st.ok()) st = collector.status();
   if (st.ok() && forward) {
@@ -744,27 +640,6 @@ Status PipelineExecutor::DeliverWatermarkImpl(NodeId node, size_t port,
       if (!st.ok()) break;
     }
   }
-  if (timed) {
-    int64_t total = MonotonicNanos() - t0;
-    int64_t child = child_time_ns_.back();
-    child_time_ns_.pop_back();
-    if (m != nullptr) {
-      m->process_latency_us->Observe(static_cast<double>(total - child) / 1e3);
-    }
-    if (tracing) {
-      Span span;
-      span.trace_id = active_trace_.trace_id;
-      span.span_id = span_id;
-      span.parent_id = saved_parent;
-      span.kind = SpanKind::kOp;
-      span.name = op->name() + ":wm";
-      span.start_ns = t0;
-      span.duration_ns = total - child;
-      tracer_->Record(std::move(span));
-    }
-    if (!child_time_ns_.empty()) child_time_ns_.back() += total;
-  }
-  active_trace_.parent_span = saved_parent;
   return st;
 }
 
@@ -774,28 +649,11 @@ Status PipelineExecutor::AdvanceProcessingTime(Timestamp now) {
   for (NodeId id : order) {
     NodeMetrics* m = metrics_ != nullptr ? &node_metrics_[id] : nullptr;
     Operator* op = graph_->node(id);
-    RoutingCollector collector(
-        &graph_->outputs(id),
-        [this](NodeId to, size_t to_port, const StreamElement& e) {
-          return e.is_watermark() ? DeliverWatermark(to, to_port, e.timestamp)
-                                  : Deliver(to, to_port, e);
-        },
-        m != nullptr ? m->records_out : nullptr);
-    int64_t t0 = 0;
-    if (m != nullptr) {
-      child_time_ns_.push_back(0);
-      t0 = MonotonicNanos();
-    }
-    Status st = op->OnProcessingTime(ContextFor(id), &collector);
-    if (st.ok()) st = collector.status();
-    if (m != nullptr) {
-      int64_t total = MonotonicNanos() - t0;
-      int64_t child = child_time_ns_.back();
-      child_time_ns_.pop_back();
-      m->process_latency_us->Observe(static_cast<double>(total - child) / 1e3);
-      if (!child_time_ns_.empty()) child_time_ns_.back() += total;
-    }
-    CQ_RETURN_NOT_OK(st);
+    RoutingCollector collector(this, id, m);
+    // Timing only: processing-time sweeps record no span of their own.
+    NodeFrame frame(this, m, op, /*traced=*/false);
+    CQ_RETURN_NOT_OK(op->OnProcessingTime(ContextFor(id), &collector));
+    CQ_RETURN_NOT_OK(collector.status());
   }
   return Status::OK();
 }

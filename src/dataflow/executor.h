@@ -13,12 +13,16 @@
 /// the systems the survey describes (Flink's consistent checkpoints).
 ///
 /// Delivery comes in two granularities. Push delivers one element at a
-/// time, depth-first. PushBatch delivers batch-at-a-time: maximal record
-/// runs flow through Operator::ProcessBatch (watermarks split runs), each
-/// node's emissions are buffered and forwarded downstream as a batch. For
-/// linear pipelines the two are output-identical; on fan-out a batch is
-/// delivered whole to each downstream edge in edge order, whereas
-/// per-element delivery interleaves elements across edges.
+/// time, depth-first, through Operator::ProcessElement — the reference
+/// path. PushBatch and PushColumnar deliver batch-at-a-time: the batch
+/// travels as columns through every operator with a columnar kernel, and
+/// wherever it cannot (no kernel, or a kernel declines a segment) the
+/// executor materialises rows and runs ProcessElement over each maximal
+/// record run, buffering the node's emissions and forwarding them
+/// downstream as one run (watermarks split runs). For linear pipelines the
+/// granularities are output-identical; on fan-out a batch is delivered
+/// whole to each downstream edge in edge order, whereas per-element
+/// delivery interleaves elements across edges.
 
 #include <map>
 #include <memory>
@@ -63,29 +67,22 @@ class PipelineExecutor : public ft::Checkpointable {
   Status Push(NodeId source, const StreamElement& element);
 
   /// \brief Injects a batch at `source` and runs it through the DAG
-  /// batch-at-a-time: maximal record runs are delivered through
-  /// Operator::ProcessBatch, watermarks through the watermark path.
+  /// batch-at-a-time.
   ///
-  /// When columnar delivery is enabled (default) and the subgraph under
-  /// `source` has vectorized kernels, the batch is converted to columns
-  /// once at the edge and shipped columnar (the row-fallback shim): it
-  /// flows through kPassthrough/kTransform operators as a ColumnarBatch
-  /// and is re-materialised to rows at the first operator that cannot
-  /// consume it. Batches the converter rejects (ragged arity, mixed-type
-  /// columns, in-band barriers) stay on the row path unchanged.
+  /// When the subgraph under `source` has vectorized kernels, the batch is
+  /// converted to columns once at the edge and shipped columnar (the
+  /// row-fallback shim): it flows through kPassthrough/kTransform operators
+  /// as a ColumnarBatch and is re-materialised to rows at the first
+  /// operator that cannot consume it. Rows run through ProcessElement one
+  /// record run at a time, watermarks through the watermark path. Batches
+  /// the converter rejects (ragged arity, mixed-type columns, in-band
+  /// barriers) stay on rows unchanged.
   Status PushBatch(NodeId source, const StreamBatch& batch);
 
   /// \brief Injects an already-columnar batch at `source` (the broker-edge
-  /// driver accumulates straight into columns). Falls back to row delivery
-  /// when columnar delivery is disabled or nothing under `source` can
-  /// consume columns.
+  /// driver accumulates straight into columns). Falls back to rows when
+  /// nothing under `source` can consume columns.
   Status PushColumnar(NodeId source, ColumnarBatch batch);
-
-  /// \brief Enables/disables columnar delivery (enabled by default).
-  /// Disabling forces every PushBatch/PushColumnar onto the row path —
-  /// the equivalence-testing and benchmarking knob.
-  void set_columnar_enabled(bool enabled) { columnar_enabled_ = enabled; }
-  bool columnar_enabled() const { return columnar_enabled_; }
 
   /// \brief Whether a columnar batch delivered at `node` would be consumed
   /// vectorized there or somewhere downstream (false -> immediate fallback).
@@ -198,10 +195,14 @@ class PipelineExecutor : public ft::Checkpointable {
   /// Splits a mixed element sequence into record runs and watermarks.
   Status DeliverSequence(NodeId node, size_t port, const StreamElement* data,
                          size_t count);
-  /// Delivers one record run through ProcessBatch and routes the buffered
+  /// Runs ProcessElement over one record run and routes the buffered
   /// emissions downstream, batch-at-a-time.
   Status DeliverBatch(NodeId node, size_t port, const StreamElement* data,
                       size_t count);
+  /// Charges a run's records_out and its out/in selectivity, then hands
+  /// the node's buffered emissions to every downstream edge.
+  Status ForwardRun(NodeId node, NodeMetrics* m, size_t records_in,
+                    const std::vector<StreamElement>& emitted);
   /// Columnar delivery: dispatches on the node's ColumnarSupport, falling
   /// back to row materialisation (ToRows + DeliverSequence) when the node
   /// cannot consume the batch vectorized.
@@ -220,6 +221,13 @@ class PipelineExecutor : public ft::Checkpointable {
   void RecomputeColumnarReach();
   OperatorContext ContextFor(NodeId node) const;
 
+  /// Collector that delivers each emission downstream as it is emitted.
+  class RoutingCollector;
+  /// Scoped bookkeeping for one node invocation: self time into the node's
+  /// latency histogram and, while tracing, an op span that downstream
+  /// deliveries parent to. Every delivery function opens exactly one.
+  class NodeFrame;
+
   std::unique_ptr<DataflowGraph> graph_;
   ProcessingTimeSource* clock_;
   ManualClock manual_clock_;
@@ -230,19 +238,18 @@ class PipelineExecutor : public ft::Checkpointable {
   // Columnar delivery: whether a batch arriving at node n would be consumed
   // vectorized at n or downstream of it (recomputed on graph changes).
   std::vector<char> columnar_reach_;
-  bool columnar_enabled_ = true;
 
   MetricsRegistry* metrics_ = nullptr;
   std::vector<NodeMetrics> node_metrics_;
-  // Stack mirroring Deliver recursion: each frame accumulates nanoseconds
-  // spent in downstream (child) deliveries so a node's latency histogram
-  // records self time only. Unused unless metrics or an active trace
-  // require per-delivery timing.
+  // Stack of open NodeFrames: each slot accumulates nanoseconds spent in
+  // downstream (child) deliveries so a node's latency histogram records
+  // self time only. Unused unless metrics or an active trace require
+  // per-delivery timing.
   std::vector<int64_t> child_time_ns_;
 
   TraceRecorder* tracer_ = nullptr;
   // Context handed to operators via OperatorContext::trace. parent_span
-  // tracks the span of the node currently delivering (span_stack_ top), so
+  // tracks the span of the node currently delivering (innermost NodeFrame), so
   // operator-recorded sub-spans and batches re-stamped at sinks nest under
   // the right operator span.
   TraceContext active_trace_;

@@ -29,8 +29,10 @@ class ColumnarBatch;
 ///
 /// The executor ships ColumnarBatches down the graph as long as operators
 /// can consume them; the first operator that cannot (kNone) receives the
-/// batch re-materialised as rows (the row-fallback shim), and everything
-/// downstream of it stays on the row path for that batch.
+/// batch re-materialised as rows (the row-fallback shim) and processes them
+/// through ProcessElement, as does everything downstream of it. Each
+/// operator thus has at most two paths: ProcessElement, the reference, and
+/// one columnar kernel that must match it.
 enum class ColumnarSupport : uint8_t {
   /// Row path only: the batch is converted to rows before this operator.
   kNone,
@@ -52,7 +54,8 @@ class Collector {
 };
 
 /// \brief Collector that buffers emissions into a vector — the building
-/// block of batch-at-a-time delivery (executor routing, chain fusion).
+/// block of batch-at-a-time delivery (the executor routes the buffered run
+/// downstream as one unit).
 class VectorCollector : public Collector {
  public:
   explicit VectorCollector(std::vector<StreamElement>* out) : out_(out) {}
@@ -91,23 +94,6 @@ class Operator {
   /// \brief Handles one data record arriving on `port`.
   virtual Status ProcessElement(size_t port, const StreamElement& element,
                                 const OperatorContext& ctx, Collector* out) = 0;
-
-  /// \brief Handles a run of `count` data records arriving on `port` — the
-  /// batched-exchange hook of the unified runtime. The executor delivers
-  /// maximal record runs (watermarks split runs, so `ctx.watermark` is
-  /// constant across the run) through this hook. The default loops over
-  /// ProcessElement, so every operator keeps working unchanged; hot
-  /// operators (filter/map/window, fused chains) override it to amortise
-  /// dispatch and state access over the batch. Overrides MUST emit exactly
-  /// what per-element processing would emit, in the same order.
-  virtual Status ProcessBatch(size_t port, const StreamElement* elements,
-                              size_t count, const OperatorContext& ctx,
-                              Collector* out) {
-    for (size_t i = 0; i < count; ++i) {
-      CQ_RETURN_NOT_OK(ProcessElement(port, elements[i], ctx, out));
-    }
-    return Status::OK();
-  }
 
   /// \brief The operator's combined input watermark advanced to
   /// `watermark`. The executor forwards the watermark downstream after this
@@ -197,7 +183,7 @@ class Operator {
   // --- Columnar (vectorized) delivery ---------------------------------
 
   /// \brief Static columnar capability of this operator. kNone (the
-  /// default) keeps the operator on the row path; overrides MUST also
+  /// default) keeps the operator on ProcessElement; overrides MUST also
   /// override the matching hook(s) below.
   virtual ColumnarSupport columnar_support() const {
     return ColumnarSupport::kNone;
@@ -227,12 +213,12 @@ class Operator {
 
   /// \brief kConsume hook: consumes the selected rows of one
   /// watermark-delimited segment [begin, end) of `batch` arriving on
-  /// `port` (ctx.watermark is constant across the segment, like
-  /// ProcessBatch runs). Emissions must match what per-element processing
-  /// would emit, in the same order. Setting *handled = false (before any
-  /// emission or state change) makes the executor re-materialise the
-  /// segment through the row path instead — the escape hatch for
-  /// configurations the kernel does not cover.
+  /// `port` (ctx.watermark is constant across the segment). Emissions must
+  /// match what per-element processing would emit, in the same order.
+  /// Setting *handled = false (before any emission or state change) makes
+  /// the executor re-materialise the segment and run ProcessElement on each
+  /// row instead — the escape hatch for configurations the kernel does not
+  /// cover.
   virtual Status ProcessColumnarSegment(size_t port, const ColumnarBatch& batch,
                                         size_t begin, size_t end,
                                         const OperatorContext& ctx,

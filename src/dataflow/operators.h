@@ -27,11 +27,6 @@ class PassThroughOperator : public Operator {
     out->Emit(element);
     return Status::OK();
   }
-  Status ProcessBatch(size_t, const StreamElement* elements, size_t count,
-                      const OperatorContext&, Collector* out) override {
-    for (size_t i = 0; i < count; ++i) out->Emit(elements[i]);
-    return Status::OK();
-  }
   ColumnarSupport columnar_support() const override {
     return ColumnarSupport::kPassthrough;
   }
@@ -49,14 +44,6 @@ class MapOperator : public Operator {
                         const OperatorContext&, Collector* out) override {
     CQ_ASSIGN_OR_RETURN(Tuple t, fn_(element.tuple));
     out->Emit(StreamElement::Record(std::move(t), element.timestamp));
-    return Status::OK();
-  }
-  Status ProcessBatch(size_t, const StreamElement* elements, size_t count,
-                      const OperatorContext&, Collector* out) override {
-    for (size_t i = 0; i < count; ++i) {
-      CQ_ASSIGN_OR_RETURN(Tuple t, fn_(elements[i].tuple));
-      out->Emit(StreamElement::Record(std::move(t), elements[i].timestamp));
-    }
     return Status::OK();
   }
 
@@ -78,13 +65,6 @@ class FilterOperator : public Operator {
   Status ProcessElement(size_t, const StreamElement& element,
                         const OperatorContext&, Collector* out) override {
     if (fn_(element.tuple)) out->Emit(element);
-    return Status::OK();
-  }
-  Status ProcessBatch(size_t, const StreamElement* elements, size_t count,
-                      const OperatorContext&, Collector* out) override {
-    for (size_t i = 0; i < count; ++i) {
-      if (fn_(elements[i].tuple)) out->Emit(elements[i]);
-    }
     return Status::OK();
   }
 

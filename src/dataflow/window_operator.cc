@@ -198,73 +198,6 @@ Status WindowedAggregateOperator::ProcessElement(size_t,
   return Status::OK();
 }
 
-Status WindowedAggregateOperator::ProcessBatch(size_t port,
-                                               const StreamElement* elements,
-                                               size_t count,
-                                               const OperatorContext& ctx,
-                                               Collector* out) {
-  if (!config_.trigger->PassiveOnElement()) {
-    return Operator::ProcessBatch(port, elements, count, ctx, out);
-  }
-  // Fast-path precondition: no (element, window) pair may already be behind
-  // the watermark — late elements drop or fire refinements per element.
-  // ctx.watermark is constant across the run (watermarks split batches), so
-  // this scan decides for the whole batch.
-  for (size_t i = 0; i < count; ++i) {
-    for (const TimeInterval& w :
-         config_.assigner->AssignWindows(elements[i].timestamp)) {
-      if (w.end <= ctx.watermark) {
-        return Operator::ProcessBatch(port, elements, count, ctx, out);
-      }
-    }
-  }
-  // Accumulate the batch into local cells: one LoadCell per touched
-  // (key, window) instead of per element. Nothing is stored or emitted
-  // until the whole batch has been folded, so bailing out mid-scan (an
-  // already-fired restored window) can still replay per element.
-  std::map<std::pair<std::pair<Timestamp, Timestamp>, std::string>, Cell>
-      cells;
-  for (size_t i = 0; i < count; ++i) {
-    const Tuple& tuple = elements[i].tuple;
-    std::string key = TupleToBytes(tuple.Project(config_.key_indexes));
-    for (const TimeInterval& w :
-         config_.assigner->AssignWindows(elements[i].timestamp)) {
-      auto cell_key = std::make_pair(std::make_pair(w.end, w.start), key);
-      auto it = cells.find(cell_key);
-      if (it == cells.end()) {
-        CQ_ASSIGN_OR_RETURN(Cell loaded, LoadCell(key, w));
-        if (loaded.fired) {
-          // A restored window that already fired: per-element refinement
-          // semantics apply; replay the batch through the slow path.
-          return Operator::ProcessBatch(port, elements, count, ctx, out);
-        }
-        it = cells.emplace(std::move(cell_key), std::move(loaded)).first;
-      }
-      Cell& cell = it->second;
-      for (size_t f = 0; f < funcs_.size(); ++f) {
-        Value in;
-        if (config_.aggs[f].input == nullptr) {
-          in = Value(static_cast<int64_t>(1));
-        } else {
-          CQ_ASSIGN_OR_RETURN(in, config_.aggs[f].input->Eval(tuple));
-        }
-        cell.states[f] =
-            funcs_[f]->Combine(cell.states[f], funcs_[f]->Lift(in));
-      }
-      cell.since_fire += 1;
-    }
-  }
-  // Commit: one StoreCell per touched cell, and make sure each window has a
-  // live trigger awaiting its on-time firing (OnElement is passive, so not
-  // invoking it per element emits exactly what per-element delivery would).
-  for (const auto& [cell_key, cell] : cells) {
-    TimeInterval w{cell_key.first.second, cell_key.first.first};
-    CQ_RETURN_NOT_OK(StoreCell(cell_key.second, w, cell));
-    GetOrCreateTrigger(cell_key.second, w, /*primed_fired=*/false);
-  }
-  return Status::OK();
-}
-
 bool WindowedAggregateOperator::CanProcessColumnar(
     const std::vector<ValueType>& in_types, std::vector<ValueType>*) const {
   for (size_t idx : config_.key_indexes) {
@@ -303,9 +236,7 @@ Status WindowedAggregateOperator::ProcessColumnarSegment(
     slide = s->slide();
     offset = s->offset();
   }
-  if (slide <= 0) {
-    return ProcessColumnarSegmentGeneric(batch, begin, end, ctx, handled);
-  }
+  if (slide <= 0) return Status::OK();  // no grid: decline to per-element
   // Floor of ts to the grid (same arithmetic as the assigners; robust to
   // negative timestamps).
   auto align = [slide, offset](Timestamp ts) {
@@ -329,7 +260,7 @@ Status WindowedAggregateOperator::ProcessColumnarSegment(
     }
   }
   if (!any) {
-    *handled = true;  // nothing selected: the row path would emit nothing too
+    *handled = true;  // nothing selected: per-element would emit nothing too
     return Status::OK();
   }
   // Minimal / maximal possible window starts across the segment bound the
@@ -340,8 +271,8 @@ Status WindowedAggregateOperator::ProcessColumnarSegment(
       top < base ? 0 : static_cast<size_t>((top - base) / slide) + 1;
   if (num_slots > 4 * (end - begin) + 64) {
     // Degenerate sparse span (huge timestamp spread): dense slots would
-    // allocate far more cells than rows — the map-based fold is cheaper.
-    return ProcessColumnarSegmentGeneric(batch, begin, end, ctx, handled);
+    // allocate far more cells than rows, so decline to per-element.
+    return Status::OK();
   }
 
   // Aggregate inputs as typed column loops, one evaluation per segment, and
@@ -503,7 +434,7 @@ Status WindowedAggregateOperator::ProcessColumnarSegment(
                             LoadCell(keys[id], {start, start + size}));
         if (loaded.fired) {
           // Already-fired restored window: refinement semantics are
-          // per-element; nothing stored yet, so the row path can replay.
+          // per-element; nothing stored yet, so the segment can replay.
           return Status::OK();
         }
         lc.cell = std::move(loaded);
@@ -559,71 +490,6 @@ Status WindowedAggregateOperator::ProcessColumnarSegment(
       CQ_RETURN_NOT_OK(StoreCell(keys[id], w, lc.cell));
       GetOrCreateTrigger(keys[id], w, /*primed_fired=*/false);
     }
-  }
-  *handled = true;
-  return Status::OK();
-}
-
-Status WindowedAggregateOperator::ProcessColumnarSegmentGeneric(
-    const ColumnarBatch& batch, size_t begin, size_t end,
-    const OperatorContext& ctx, bool* handled) {
-  // Same precondition as the ProcessBatch fast path: no selected row may
-  // assign to a window already behind the watermark (ctx.watermark is
-  // constant across the segment, so one scan decides).
-  for (size_t i = begin; i < end; ++i) {
-    if (!batch.IsSelected(i)) continue;
-    for (const TimeInterval& w :
-         config_.assigner->AssignWindows(batch.timestamp(i))) {
-      if (w.end <= ctx.watermark) return Status::OK();
-    }
-  }
-  // Aggregate inputs as typed column loops, one evaluation per segment.
-  std::vector<Column> inputs(config_.aggs.size());
-  for (size_t f = 0; f < config_.aggs.size(); ++f) {
-    if (config_.aggs[f].input == nullptr) continue;
-    inputs[f] =
-        EvalVector(*config_.aggs[f].input, batch.columns(), batch.num_rows());
-  }
-  // Fold into local cells; keys encode straight from column storage
-  // (EncodeValueAt is byte-identical to TupleToBytes of the projection).
-  std::map<std::pair<std::pair<Timestamp, Timestamp>, std::string>, Cell>
-      cells;
-  std::string key;
-  for (size_t i = begin; i < end; ++i) {
-    if (!batch.IsSelected(i)) continue;
-    key.clear();
-    EncodeU32(static_cast<uint32_t>(config_.key_indexes.size()), &key);
-    for (size_t idx : config_.key_indexes) {
-      batch.column(idx).EncodeValueAt(i, &key);
-    }
-    for (const TimeInterval& w :
-         config_.assigner->AssignWindows(batch.timestamp(i))) {
-      auto cell_key = std::make_pair(std::make_pair(w.end, w.start), key);
-      auto it = cells.find(cell_key);
-      if (it == cells.end()) {
-        CQ_ASSIGN_OR_RETURN(Cell loaded, LoadCell(key, w));
-        if (loaded.fired) {
-          // Already-fired restored window: refinement semantics are
-          // per-element; nothing stored yet, so the row path can replay.
-          return Status::OK();
-        }
-        it = cells.emplace(std::move(cell_key), std::move(loaded)).first;
-      }
-      Cell& cell = it->second;
-      for (size_t f = 0; f < funcs_.size(); ++f) {
-        Value in = config_.aggs[f].input == nullptr
-                       ? Value(static_cast<int64_t>(1))
-                       : inputs[f].ValueAt(i);
-        cell.states[f] =
-            funcs_[f]->Combine(cell.states[f], funcs_[f]->Lift(in));
-      }
-      cell.since_fire += 1;
-    }
-  }
-  for (const auto& [cell_key, cell] : cells) {
-    TimeInterval w{cell_key.first.second, cell_key.first.first};
-    CQ_RETURN_NOT_OK(StoreCell(cell_key.second, w, cell));
-    GetOrCreateTrigger(cell_key.second, w, /*primed_fired=*/false);
   }
   *handled = true;
   return Status::OK();

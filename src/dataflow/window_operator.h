@@ -46,15 +46,6 @@ class WindowedAggregateOperator : public Operator {
 
   Status ProcessElement(size_t port, const StreamElement& element,
                         const OperatorContext& ctx, Collector* out) override;
-  /// \brief Vectorised accumulation: when the trigger is passive on element
-  /// arrival (the default AfterWatermark) and no element in the run can be
-  /// late, the whole batch is folded into each touched (key, window) cell
-  /// with one state load/store per cell instead of one per element. Any
-  /// potentially-late element or already-fired window falls back to the
-  /// per-element path, so output is always identical to per-element
-  /// delivery.
-  Status ProcessBatch(size_t port, const StreamElement* elements, size_t count,
-                      const OperatorContext& ctx, Collector* out) override;
   Status OnWatermark(Timestamp watermark, const OperatorContext& ctx,
                      Collector* out) override;
   Status OnProcessingTime(const OperatorContext& ctx, Collector* out) override;
@@ -62,10 +53,12 @@ class WindowedAggregateOperator : public Operator {
   /// \brief Columnar kernel: consumes the timestamp column and vectorized
   /// aggregate-input columns directly — group keys are encoded straight
   /// from column storage (no tuple materialisation), aggregate inputs are
-  /// evaluated once per batch as typed loops. Same preconditions as the
-  /// ProcessBatch fast path (passive trigger, no late rows, no
-  /// already-fired cells); anything else sets *handled = false and the
-  /// executor replays the segment through the row path.
+  /// evaluated once per batch as typed loops, and cells fold into dense
+  /// per-key slots over the tumbling/sliding window grid. It needs a
+  /// passive trigger (the default AfterWatermark), a grid assigner, no late
+  /// rows, no already-fired cells and a segment whose timestamp spread
+  /// fits the slot array; anything else sets *handled = false and the
+  /// executor runs the segment through ProcessElement.
   ColumnarSupport columnar_support() const override {
     return ColumnarSupport::kConsume;
   }
@@ -112,12 +105,6 @@ class WindowedAggregateOperator : public Operator {
     int64_t since_fire = 0;  // elements accumulated since the last firing
     bool fired = false;      // has this window ever fired?
   };
-
-  /// Columnar fold for assigners without grid structure: per-row virtual
-  /// AssignWindows into an ordered (window, key) -> Cell map.
-  Status ProcessColumnarSegmentGeneric(const ColumnarBatch& batch, size_t begin,
-                                       size_t end, const OperatorContext& ctx,
-                                       bool* handled);
 
   std::string WindowNamespace(const TimeInterval& w) const;
   Result<Cell> LoadCell(const std::string& key, const TimeInterval& w) const;

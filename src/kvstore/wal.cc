@@ -71,12 +71,24 @@ Result<std::vector<WalRecord>> ReadWal(const std::string& path) {
   FILE* f = fopen(path.c_str(), "rb");
   if (f == nullptr) return out;  // no log yet: empty store
   std::unique_ptr<FILE, int (*)(FILE*)> closer(f, fclose);
+  if (fseek(f, 0, SEEK_END) != 0) return Status::IOError("WAL seek failed");
+  const long file_size = ftell(f);
+  if (file_size < 0 || fseek(f, 0, SEEK_SET) != 0) {
+    return Status::IOError("WAL seek failed");
+  }
   while (true) {
     uint32_t crc, klen, vlen;
     uint8_t op;
     if (!ReadU32(f, &crc)) break;  // clean end
     if (fread(&op, 1, 1, f) != 1 || !ReadU32(f, &klen) || !ReadU32(f, &vlen)) {
       break;  // torn header: stop replay
+    }
+    // A length claiming more bytes than the file still holds is a torn (or
+    // corrupt) tail: stop before allocating for it.
+    const long pos = ftell(f);
+    if (pos < 0 || static_cast<uint64_t>(klen) + vlen >
+                       static_cast<uint64_t>(file_size - pos)) {
+      break;
     }
     WalRecord rec;
     rec.op = static_cast<WalRecord::Op>(op);

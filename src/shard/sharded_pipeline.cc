@@ -127,7 +127,6 @@ Status ShardedPipeline::BuildTask(size_t stage, size_t shard,
     CQ_RETURN_NOT_OK(graph->Connect(prev, id));
   }
   t.executor = std::make_unique<PipelineExecutor>(std::move(graph));
-  t.executor->set_columnar_enabled(columnar_enabled_);
 
   const size_t nin = stage == 0 ? 1 : nshards_;
   for (size_t p = 0; p < nin; ++p) {

@@ -183,10 +183,6 @@ class ShardedPipeline : public ft::Checkpointable,
   /// after Start().
   void AttachTracer(TraceRecorder* tracer);
 
-  /// \brief Must be set before Start(); forwarded to every task executor
-  /// (the row/columnar equivalence knob).
-  void set_columnar_enabled(bool enabled) { columnar_enabled_ = enabled; }
-
   size_t nshards() const { return nshards_; }
   /// \brief Stage plan (empty if planning failed; see Start()).
   const std::vector<ChainStage>& stages() const { return stages_; }
@@ -279,7 +275,6 @@ class ShardedPipeline : public ft::Checkpointable,
   std::vector<StreamBatch> pending_;
   std::vector<uint64_t> routed_;
 
-  bool columnar_enabled_ = true;
   bool started_ = false;
   bool finished_ = false;
   std::atomic<uint64_t> last_injected_epoch_{0};

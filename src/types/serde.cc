@@ -127,6 +127,9 @@ void EncodeTuple(const Tuple& t, std::string* out) {
 
 Result<Tuple> DecodeTuple(std::string_view* in) {
   CQ_ASSIGN_OR_RETURN(uint32_t arity, DecodeU32(in));
+  // Every value takes at least its 1-byte tag, so an arity beyond the bytes
+  // left is malformed; checking first keeps reserve() bounded by the input.
+  if (arity > in->size()) return Underflow();
   std::vector<Value> vals;
   vals.reserve(arity);
   for (uint32_t i = 0; i < arity; ++i) {

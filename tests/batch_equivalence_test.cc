@@ -37,25 +37,31 @@ BoundedStream RunPerElement(const Builder& build,
   return std::move(*p.out);
 }
 
-BoundedStream RunBatched(const Builder& build,
-                         const std::vector<StreamElement>& input,
-                         size_t chunk) {
-  Built p = build();
-  for (size_t i = 0; i < input.size(); i += chunk) {
+/// Pushes `input` to `source` through PushBatch, `next_chunk()` elements
+/// per batch.
+void PushChunked(PipelineExecutor* exec, NodeId source,
+                 const std::vector<StreamElement>& input,
+                 const std::function<size_t()>& next_chunk) {
+  size_t i = 0;
+  while (i < input.size()) {
+    size_t chunk = next_chunk();
     StreamBatch batch;
     for (size_t j = i; j < std::min(input.size(), i + chunk); ++j) {
       batch.Add(input[j]);
     }
-    EXPECT_TRUE(p.exec->PushBatch(p.source, batch).ok());
+    EXPECT_TRUE(exec->PushBatch(source, batch).ok());
+    i += chunk;
   }
-  return std::move(*p.out);
 }
 
-void ExpectStreamsEqual(const BoundedStream& a, const BoundedStream& b,
-                        const std::string& what) {
+/// Same records, timestamps and order, with tuples compared as serialized
+/// bytes (not just Value equality).
+void ExpectStreamsIdentical(const BoundedStream& a, const BoundedStream& b,
+                            const std::string& what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.at(i).tuple, b.at(i).tuple) << what << " element " << i;
+    EXPECT_EQ(TupleToBytes(a.at(i).tuple), TupleToBytes(b.at(i).tuple))
+        << what << " element " << i;
     EXPECT_EQ(a.at(i).timestamp, b.at(i).timestamp) << what << " element " << i;
   }
 }
@@ -67,9 +73,10 @@ void ExpectBatchEquivalence(const Builder& build,
   BoundedStream reference = RunPerElement(build, input);
   ASSERT_GT(reference.num_records(), 0u);
   for (size_t chunk : std::vector<size_t>{1, 3, 7, 64, input.size()}) {
-    BoundedStream batched = RunBatched(build, input, chunk);
-    ExpectStreamsEqual(reference, batched,
-                       "chunk=" + std::to_string(chunk));
+    Built p = build();
+    PushChunked(p.exec.get(), p.source, input, [chunk] { return chunk; });
+    ExpectStreamsIdentical(reference, *p.out,
+                           "chunk=" + std::to_string(chunk));
   }
 }
 
@@ -119,8 +126,8 @@ Builder TumblingSumBuilder(std::shared_ptr<TriggerFactory> trigger) {
 }
 
 TEST(BatchEquivalenceTest, TumblingWindowAfterWatermark) {
-  // Exercises the window operator's vectorised fast path plus its late
-  // fallback.
+  // Exercises the window operator's columnar kernel plus its decline to
+  // per-element delivery on segments holding a late row.
   ExpectBatchEquivalence(TumblingSumBuilder(TriggerFactory::AfterWatermark()),
                          WindowInput());
 }
@@ -187,16 +194,20 @@ TEST(BatchEquivalenceTest, FusedChainIntoWindow) {
   ExpectBatchEquivalence(build, WindowInput());
 }
 
-TEST(BatchEquivalenceTest, IntervalJoinTwoInputs) {
-  // Two-input pipeline: drive each source with per-element pushes vs
-  // batches and compare join output.
+/// Interval join of two passthrough sources (key column 0 on both sides,
+/// time bound 5, optional residual). Per-element pushes of `left` then
+/// `right` are the reference; PushBatch in every chunk size must match.
+void ExpectJoinEquivalence(ExprPtr residual,
+                           const std::vector<StreamElement>& left,
+                           const std::vector<StreamElement>& right,
+                           const std::vector<size_t>& chunks) {
   struct JoinBuilt {
     std::unique_ptr<PipelineExecutor> exec;
     NodeId left = 0;
     NodeId right = 0;
     std::unique_ptr<BoundedStream> out;
   };
-  auto build = []() {
+  auto build = [&residual]() {
     JoinBuilt p;
     p.out = std::make_unique<BoundedStream>();
     auto g = std::make_unique<DataflowGraph>();
@@ -206,6 +217,7 @@ TEST(BatchEquivalenceTest, IntervalJoinTwoInputs) {
     cfg.left_keys = {0};
     cfg.right_keys = {0};
     cfg.time_bound = 5;
+    cfg.residual = residual;
     NodeId join = g->AddNode(std::make_unique<StreamJoinOperator>("join", cfg));
     NodeId sink = g->AddNode(
         std::make_unique<CollectSinkOperator>("sink", p.out.get()));
@@ -215,6 +227,19 @@ TEST(BatchEquivalenceTest, IntervalJoinTwoInputs) {
     p.exec = std::make_unique<PipelineExecutor>(std::move(g));
     return p;
   };
+  JoinBuilt ref = build();
+  for (const auto& e : left) ASSERT_TRUE(ref.exec->Push(ref.left, e).ok());
+  for (const auto& e : right) ASSERT_TRUE(ref.exec->Push(ref.right, e).ok());
+  ASSERT_GT(ref.out->num_records(), 0u);
+  for (size_t chunk : chunks) {
+    JoinBuilt b = build();
+    PushChunked(b.exec.get(), b.left, left, [chunk] { return chunk; });
+    PushChunked(b.exec.get(), b.right, right, [chunk] { return chunk; });
+    ExpectStreamsIdentical(*ref.out, *b.out, "chunk=" + std::to_string(chunk));
+  }
+}
+
+TEST(BatchEquivalenceTest, IntervalJoinTwoInputs) {
   std::vector<StreamElement> left, right;
   for (int i = 0; i < 25; ++i) {
     left.push_back(StreamElement::Record(T2(i % 3, i), i));
@@ -224,47 +249,17 @@ TEST(BatchEquivalenceTest, IntervalJoinTwoInputs) {
       right.push_back(StreamElement::Watermark(i - 6));
     }
   }
-  JoinBuilt ref = build();
-  for (const auto& e : left) ASSERT_TRUE(ref.exec->Push(ref.left, e).ok());
-  for (const auto& e : right) ASSERT_TRUE(ref.exec->Push(ref.right, e).ok());
-  BoundedStream reference = std::move(*ref.out);
-  ASSERT_GT(reference.num_records(), 0u);
-
-  for (size_t chunk : std::vector<size_t>{1, 4, 64}) {
-    JoinBuilt b = build();
-    auto push_batched = [&](NodeId node, const std::vector<StreamElement>& in) {
-      for (size_t i = 0; i < in.size(); i += chunk) {
-        StreamBatch batch;
-        for (size_t j = i; j < std::min(in.size(), i + chunk); ++j) {
-          batch.Add(in[j]);
-        }
-        ASSERT_TRUE(b.exec->PushBatch(node, batch).ok());
-      }
-    };
-    push_batched(b.left, left);
-    push_batched(b.right, right);
-    ExpectStreamsEqual(reference, *b.out, "chunk=" + std::to_string(chunk));
-  }
+  ExpectJoinEquivalence(nullptr, left, right, {1, 4, 64});
 }
 
-// --- Columnar vs row path: randomized equivalence ------------------------
+// --- Columnar vs per-element: randomized equivalence -----------------------
 //
-// PushBatch ships batches columnar by default and re-materialises rows at
-// the first operator that cannot consume columns. These suites drive the
-// same pipeline twice — columnar enabled vs forced onto the row path — and
-// assert byte-identical output (serialized tuple bytes, not just Value
-// equality), across randomized inputs with NULLs, watermark interleaving,
-// and empty-selection batches.
-
-void ExpectStreamsByteIdentical(const BoundedStream& a, const BoundedStream& b,
-                                const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(TupleToBytes(a.at(i).tuple), TupleToBytes(b.at(i).tuple))
-        << what << " element " << i;
-    EXPECT_EQ(a.at(i).timestamp, b.at(i).timestamp) << what << " element " << i;
-  }
-}
+// PushBatch ships batches columnar and re-materialises rows at the first
+// operator that cannot consume columns. These suites drive the same
+// pipeline twice — columnar PushBatch in random chunks vs the per-element
+// reference (Push) — and assert byte-identical output (serialized tuple
+// bytes, not just Value equality), across randomized inputs with NULLs,
+// watermark interleaving, and empty-selection batches.
 
 /// Random tuples (int64 key, int64 v, double d) with ~1/8 NULLs per value
 /// column and occasional NULL keys, watermarks interleaved every ~10 rows.
@@ -288,44 +283,25 @@ std::vector<StreamElement> RandomColumnarInput(uint32_t seed, size_t n) {
   return in;
 }
 
-struct ColumnarBuilt {
-  std::unique_ptr<PipelineExecutor> exec;
-  NodeId source = 0;
-  std::unique_ptr<BoundedStream> out;
-};
-
-using ColumnarBuilder = std::function<ColumnarBuilt()>;
-
-/// Runs `input` through the pipeline in random chunk sizes with columnar
-/// delivery on vs off; output must be byte-identical either way.
-void ExpectColumnarRowEquivalence(const ColumnarBuilder& build,
-                                  const std::vector<StreamElement>& input,
-                                  uint32_t seed) {
-  std::vector<BoundedStream> runs;
-  for (bool columnar : {false, true}) {
-    ColumnarBuilt p = build();
-    p.exec->set_columnar_enabled(columnar);
-    std::mt19937 rng(seed);
-    size_t i = 0;
-    while (i < input.size()) {
-      size_t chunk = 1 + rng() % 17;
-      StreamBatch batch;
-      for (size_t j = i; j < std::min(input.size(), i + chunk); ++j) {
-        batch.Add(input[j]);
-      }
-      ASSERT_TRUE(p.exec->PushBatch(p.source, batch).ok());
-      i += chunk;
-    }
-    runs.push_back(std::move(*p.out));
-  }
-  ASSERT_GT(runs[0].num_records(), 0u);
-  ExpectStreamsByteIdentical(runs[0], runs[1], "columnar vs row");
+/// Runs `input` through the pipeline via PushBatch in random chunk sizes
+/// and via per-element Push; output must be byte-identical. `registry`,
+/// when given, is attached to the batched run's executor.
+void ExpectColumnarElementEquivalence(const Builder& build,
+                                      const std::vector<StreamElement>& input,
+                                      uint32_t seed,
+                                      MetricsRegistry* registry = nullptr) {
+  BoundedStream reference = RunPerElement(build, input);
+  Built p = build();
+  if (registry != nullptr) p.exec->AttachMetrics(registry);
+  std::mt19937 rng(seed);
+  PushChunked(p.exec.get(), p.source, input, [&rng] { return 1 + rng() % 17; });
+  ASSERT_GT(reference.num_records(), 0u);
+  ExpectStreamsIdentical(reference, *p.out, "columnar vs per-element");
 }
 
-ColumnarBuilder FilterProjectWindowBuilder(
-    std::shared_ptr<WindowAssigner> assigner) {
+Builder FilterProjectWindowBuilder(std::shared_ptr<WindowAssigner> assigner) {
   return [assigner]() {
-    ColumnarBuilt p;
+    Built p;
     p.out = std::make_unique<BoundedStream>();
     auto g = std::make_unique<DataflowGraph>();
     p.source = g->AddNode(std::make_unique<PassThroughOperator>("src"));
@@ -358,7 +334,7 @@ ColumnarBuilder FilterProjectWindowBuilder(
 
 TEST(ColumnarEquivalenceTest, RandomizedTumblingFilterProjectWindow) {
   for (uint32_t seed : {1u, 7u, 42u}) {
-    ExpectColumnarRowEquivalence(
+    ExpectColumnarElementEquivalence(
         FilterProjectWindowBuilder(std::make_shared<TumblingWindowAssigner>(10)),
         RandomColumnarInput(seed, 120), seed);
   }
@@ -366,18 +342,35 @@ TEST(ColumnarEquivalenceTest, RandomizedTumblingFilterProjectWindow) {
 
 TEST(ColumnarEquivalenceTest, RandomizedSlidingWindow) {
   for (uint32_t seed : {3u, 11u}) {
-    ExpectColumnarRowEquivalence(
+    ExpectColumnarElementEquivalence(
         FilterProjectWindowBuilder(
             std::make_shared<SlidingWindowAssigner>(20, 5)),
         RandomColumnarInput(seed, 120), seed);
   }
 }
 
+TEST(ColumnarEquivalenceTest, SparseTimestampsDeclineToPerElement) {
+  // Timestamps 1000 apart put each watermark-delimited segment's window
+  // grid far beyond 4 * rows + 64 slots: the window kernel declines and the
+  // segment runs per element, with output unchanged.
+  std::vector<StreamElement> input = RandomColumnarInput(17, 120);
+  for (auto& e : input) e.timestamp *= 1000;
+  MetricsRegistry registry;
+  ExpectColumnarElementEquivalence(
+      FilterProjectWindowBuilder(std::make_shared<TumblingWindowAssigner>(10)),
+      input, 17, &registry);
+  EXPECT_GT(registry
+                .GetCounter("cq_dataflow_row_fallback_batches_total",
+                            {{"node", "win"}, {"id", "3"}})
+                ->value(),
+            0u);
+}
+
 TEST(ColumnarEquivalenceTest, EmptySelectionBatchesStillFlowWatermarks) {
   // A filter nothing passes: every batch narrows to an empty selection, yet
   // the carried watermarks must still close windows identically.
-  ColumnarBuilder build = []() {
-    ColumnarBuilt p;
+  Builder build = []() {
+    Built p;
     p.out = std::make_unique<BoundedStream>();
     auto g = std::make_unique<DataflowGraph>();
     p.source = g->AddNode(std::make_unique<PassThroughOperator>("src"));
@@ -392,14 +385,14 @@ TEST(ColumnarEquivalenceTest, EmptySelectionBatchesStillFlowWatermarks) {
     p.exec = std::make_unique<PipelineExecutor>(std::move(g));
     return p;
   };
-  ExpectColumnarRowEquivalence(build, RandomColumnarInput(5, 80), 5);
+  ExpectColumnarElementEquivalence(build, RandomColumnarInput(5, 80), 5);
 }
 
 TEST(ColumnarEquivalenceTest, RowFallbackShimUnchangedResults) {
   // A function-filter (not vectorizable) then a map (row-only): the batch
   // falls back to rows mid-pipeline; results must be unchanged.
-  ColumnarBuilder build = []() {
-    ColumnarBuilt p;
+  Builder build = []() {
+    Built p;
     p.out = std::make_unique<BoundedStream>();
     auto g = std::make_unique<DataflowGraph>();
     p.source = g->AddNode(std::make_unique<PassThroughOperator>("src"));
@@ -419,37 +412,10 @@ TEST(ColumnarEquivalenceTest, RowFallbackShimUnchangedResults) {
     p.exec = std::make_unique<PipelineExecutor>(std::move(g));
     return p;
   };
-  ExpectColumnarRowEquivalence(build, RandomColumnarInput(9, 100), 9);
+  ExpectColumnarElementEquivalence(build, RandomColumnarInput(9, 100), 9);
 }
 
 TEST(ColumnarEquivalenceTest, IntervalJoinColumnarProbe) {
-  struct JoinBuilt {
-    std::unique_ptr<PipelineExecutor> exec;
-    NodeId left = 0;
-    NodeId right = 0;
-    std::unique_ptr<BoundedStream> out;
-  };
-  auto build = []() {
-    JoinBuilt p;
-    p.out = std::make_unique<BoundedStream>();
-    auto g = std::make_unique<DataflowGraph>();
-    p.left = g->AddNode(std::make_unique<PassThroughOperator>("l"));
-    p.right = g->AddNode(std::make_unique<PassThroughOperator>("r"));
-    StreamJoinConfig cfg;
-    cfg.left_keys = {0};
-    cfg.right_keys = {0};
-    cfg.time_bound = 5;
-    cfg.residual = Lt(Col(1), Col(3));
-    NodeId join =
-        g->AddNode(std::make_unique<StreamJoinOperator>("join", cfg));
-    NodeId sink =
-        g->AddNode(std::make_unique<CollectSinkOperator>("sink", p.out.get()));
-    EXPECT_TRUE(g->Connect(p.left, join, 0).ok());
-    EXPECT_TRUE(g->Connect(p.right, join, 1).ok());
-    EXPECT_TRUE(g->Connect(join, sink).ok());
-    p.exec = std::make_unique<PipelineExecutor>(std::move(g));
-    return p;
-  };
   std::vector<StreamElement> left, right;
   std::mt19937 rng(13);
   for (int i = 0; i < 40; ++i) {
@@ -461,33 +427,15 @@ TEST(ColumnarEquivalenceTest, IntervalJoinColumnarProbe) {
       right.push_back(StreamElement::Watermark(i - 6));
     }
   }
-  std::vector<BoundedStream> runs;
-  for (bool columnar : {false, true}) {
-    JoinBuilt b = build();
-    b.exec->set_columnar_enabled(columnar);
-    auto push = [&](NodeId node, const std::vector<StreamElement>& in) {
-      for (size_t i = 0; i < in.size(); i += 6) {
-        StreamBatch batch;
-        for (size_t j = i; j < std::min(in.size(), i + 6); ++j) {
-          batch.Add(in[j]);
-        }
-        ASSERT_TRUE(b.exec->PushBatch(node, batch).ok());
-      }
-    };
-    push(b.left, left);
-    push(b.right, right);
-    runs.push_back(std::move(*b.out));
-  }
-  ASSERT_GT(runs[0].num_records(), 0u);
-  ExpectStreamsByteIdentical(runs[0], runs[1], "join columnar vs row");
+  ExpectJoinEquivalence(Lt(Col(1), Col(3)), left, right, {6});
 }
 
 TEST(ColumnarEquivalenceTest, CoverageCountersDistinguishPaths) {
-  // The same pipeline observed through the coverage counters: with columnar
-  // delivery every vectorizable node counts vectorized batches; with it
-  // disabled nothing does (plain row delivery is not a "fallback").
+  // The same pipeline observed through the coverage counters: every
+  // vectorizable node counts vectorized batches, and on this dense input
+  // the window kernel never declines a segment to per-element delivery.
   MetricsRegistry registry;
-  ColumnarBuilt p = FilterProjectWindowBuilder(
+  Built p = FilterProjectWindowBuilder(
       std::make_shared<TumblingWindowAssigner>(10))();
   p.exec->AttachMetrics(&registry);
   std::vector<StreamElement> input = RandomColumnarInput(21, 60);

@@ -212,6 +212,45 @@ TEST(KVStoreTest, WalTornTailIsTruncated) {
   std::remove(wal.c_str());
 }
 
+TEST(KVStoreTest, WalOversizedLengthIsTornTail) {
+  // Valid records, then a header whose key length claims far more bytes
+  // than the file holds: replay keeps the valid prefix and stops there
+  // without sizing a buffer for the claimed length.
+  std::string wal = std::filesystem::temp_directory_path() /
+                    "cq_kvstore_oversized_wal.log";
+  std::remove(wal.c_str());
+  {
+    KVStoreOptions opts;
+    opts.wal_path = wal;
+    auto db = std::move(KVStore::Open(opts)).value();
+    ASSERT_TRUE(db->Put("a", "1").ok());
+    ASSERT_TRUE(db->Put("b", "2").ok());
+  }
+  {
+    // [u32 crc][u8 op][u32 klen][u32 vlen], native byte order like the writer.
+    FILE* f = std::fopen(wal.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    const uint32_t crc = 0;
+    const uint8_t op = 0;
+    const uint32_t klen = 0xFFFFFFF0u;
+    const uint32_t vlen = 0xFFFFFFF0u;
+    std::fwrite(&crc, sizeof(crc), 1, f);
+    std::fwrite(&op, sizeof(op), 1, f);
+    std::fwrite(&klen, sizeof(klen), 1, f);
+    std::fwrite(&vlen, sizeof(vlen), 1, f);
+    std::fclose(f);
+  }
+  {
+    KVStoreOptions opts;
+    opts.wal_path = wal;
+    auto db = KVStore::Open(opts);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_EQ(*(*db)->Get("a"), "1");
+    EXPECT_EQ(*(*db)->Get("b"), "2");
+  }
+  std::remove(wal.c_str());
+}
+
 TEST(KVStoreTest, BloomFiltersShortCircuitMisses) {
   auto db = OpenMem(64);
   for (int i = 0; i < 64; ++i) {

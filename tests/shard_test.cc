@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "dataflow/executor.h"
 #include "dataflow/operators.h"
 #include "dataflow/window_operator.h"
 #include "obs/metrics.h"
@@ -16,6 +17,7 @@
 #include "shard/planner.h"
 #include "shard/sharded_pipeline.h"
 #include "shard/sharded_service.h"
+#include "types/serde.h"
 #include "workload/generators.h"
 
 namespace cq::shard {
@@ -203,10 +205,9 @@ TEST(HashExchangeTest, ColumnarSplitMatchesRowSplit) {
 
 BoundedStream RunSharded(size_t nshards,
                          const ShardedPipeline::ChainFactory& factory,
-                         const TransactionWorkload& w, bool columnar,
+                         const TransactionWorkload& w,
                          ShardedPipelineOptions options = {}) {
   ShardedPipeline pipeline(nshards, factory, {}, options);
-  pipeline.set_columnar_enabled(columnar);
   EXPECT_TRUE(pipeline.Start().ok());
   for (const auto& e : w.transactions) {
     if (!e.is_record()) continue;
@@ -221,24 +222,69 @@ BoundedStream RunSharded(size_t nshards,
   return out.ok() ? std::move(*out) : BoundedStream();
 }
 
+/// The same chain unsharded: passthrough source -> chain -> sink, every
+/// record pushed one at a time through the per-element reference path.
+/// Output is put in ShardedPipeline::Finish's merge order, (timestamp,
+/// tuple), so it lines up with a sharded run.
+BoundedStream RunPerElement(const ShardedPipeline::ChainFactory& factory,
+                            const TransactionWorkload& w) {
+  BoundedStream out;
+  auto g = std::make_unique<DataflowGraph>();
+  NodeId src = g->AddNode(std::make_unique<PassThroughOperator>("src"));
+  NodeId prev = src;
+  auto ops = factory(0);
+  EXPECT_TRUE(ops.ok()) << ops.status().ToString();
+  if (!ops.ok()) return out;
+  for (auto& op : *ops) {
+    NodeId id = g->AddNode(std::move(op));
+    EXPECT_TRUE(g->Connect(prev, id).ok());
+    prev = id;
+  }
+  NodeId sink = g->AddNode(std::make_unique<CollectSinkOperator>("sink", &out));
+  EXPECT_TRUE(g->Connect(prev, sink).ok());
+  PipelineExecutor exec(std::move(g));
+  for (const auto& e : w.transactions) {
+    if (!e.is_record()) continue;
+    EXPECT_TRUE(exec.PushRecord(src, Tuple({e.tuple[1], e.tuple[1]}),
+                                e.timestamp)
+                    .ok());
+  }
+  EXPECT_TRUE(
+      exec.PushWatermark(src, w.transactions.MaxTimestamp() + 100).ok());
+  std::vector<StreamElement> all;
+  for (const StreamElement& e : out) {
+    if (e.is_record()) all.push_back(e);
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const StreamElement& a, const StreamElement& b) {
+                     if (a.timestamp != b.timestamp) {
+                       return a.timestamp < b.timestamp;
+                     }
+                     return a.tuple.Compare(b.tuple) < 0;
+                   });
+  BoundedStream sorted;
+  for (StreamElement& e : all) sorted.Append(std::move(e));
+  return sorted;
+}
+
 void ExpectSameStream(const BoundedStream& a, const BoundedStream& b) {
   ASSERT_EQ(a.num_records(), b.num_records());
   for (size_t i = 0; i < a.num_records(); ++i) {
-    EXPECT_EQ(a.at(i).tuple, b.at(i).tuple) << i;
+    EXPECT_EQ(TupleToBytes(a.at(i).tuple), TupleToBytes(b.at(i).tuple)) << i;
     EXPECT_EQ(a.at(i).timestamp, b.at(i).timestamp) << i;
   }
 }
 
 TEST(ShardedPipelineTest, ResultsIndependentOfShardCount) {
   TransactionWorkload w = MakeTransactionWorkload(500, 20, 0.8, 100, 0, 99);
-  BoundedStream s1 = RunSharded(1, SumChainFactory(), w, true);
-  BoundedStream s4 = RunSharded(4, SumChainFactory(), w, true);
-  BoundedStream s8 = RunSharded(8, SumChainFactory(), w, true);
+  BoundedStream s1 = RunSharded(1, SumChainFactory(), w);
+  BoundedStream s4 = RunSharded(4, SumChainFactory(), w);
+  BoundedStream s8 = RunSharded(8, SumChainFactory(), w);
   // Tiny ship units and channel credits change only the interleaving.
   ShardedPipelineOptions tiny;
   tiny.batch_size = 3;
   tiny.channel_credits = 2;
-  BoundedStream s4_tiny = RunSharded(4, SumChainFactory(), w, true, tiny);
+  BoundedStream s4_tiny = RunSharded(4, SumChainFactory(), w, tiny);
   ASSERT_GT(s1.num_records(), 0u);
   ExpectSameStream(s1, s4);
   ExpectSameStream(s1, s8);
@@ -246,16 +292,18 @@ TEST(ShardedPipelineTest, ResultsIndependentOfShardCount) {
 }
 
 TEST(ShardedPipelineTest, RowAndColumnarExecutionAgree) {
+  // Sharded runs ship columnar batches; the unsharded per-element run of
+  // the same chain is the reference.
   TransactionWorkload w = MakeTransactionWorkload(400, 15, 0.8, 100, 0, 99);
-  BoundedStream row = RunSharded(4, SumChainFactory(), w, false);
-  BoundedStream col = RunSharded(4, SumChainFactory(), w, true);
-  ASSERT_GT(row.num_records(), 0u);
-  ExpectSameStream(row, col);
+  BoundedStream reference = RunPerElement(SumChainFactory(), w);
+  BoundedStream col = RunSharded(4, SumChainFactory(), w);
+  ASSERT_GT(reference.num_records(), 0u);
+  ExpectSameStream(reference, col);
 }
 
 TEST(ShardedPipelineTest, ColumnarIngestMatchesRowIngest) {
   TransactionWorkload w = MakeTransactionWorkload(300, 10, 0.8, 100, 0, 99);
-  BoundedStream by_send = RunSharded(4, SumChainFactory(), w, true);
+  BoundedStream by_send = RunSharded(4, SumChainFactory(), w);
 
   ShardedPipeline pipeline(4, SumChainFactory(), {});
   ASSERT_TRUE(pipeline.Start().ok());
@@ -288,8 +336,8 @@ TEST(ShardedPipelineTest, TwoStageReKeyMatchesSingleShard) {
   EXPECT_EQ(probe.stages()[1].partition_key, std::vector<size_t>({1}));
   ASSERT_TRUE(probe.Finish().ok());
 
-  BoundedStream s1 = RunSharded(1, RollupChainFactory(), w, true);
-  BoundedStream s4 = RunSharded(4, RollupChainFactory(), w, true);
+  BoundedStream s1 = RunSharded(1, RollupChainFactory(), w);
+  BoundedStream s4 = RunSharded(4, RollupChainFactory(), w);
   ASSERT_GT(s1.num_records(), 0u);
   ExpectSameStream(s1, s4);
 }

@@ -172,6 +172,17 @@ TEST(SerdeTest, UnderflowIsAnError) {
   EXPECT_TRUE(DecodeValue(&empty).status().IsParseError());
 }
 
+TEST(SerdeTest, TupleArityBeyondInputIsAnError) {
+  // A 4-byte arity with no values behind it: every value needs at least its
+  // tag byte, so the decoder must reject it before sizing any buffer.
+  for (std::string bytes : {std::string("\xff\xff\xff\xff", 4),
+                            std::string("\xff\xff\xff\x0f", 4)}) {
+    Result<Tuple> t = TupleFromBytes(bytes);
+    EXPECT_FALSE(t.ok());
+    EXPECT_TRUE(t.status().IsParseError()) << t.status().ToString();
+  }
+}
+
 TEST(SerdeTest, PrimitiveRoundTrips) {
   std::string buf;
   EncodeU32(0xDEADBEEF, &buf);
