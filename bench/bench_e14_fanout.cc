@@ -4,8 +4,10 @@
 ///
 /// The claim behind src/net's SubscriberMux: one epoll thread can fan a
 /// query's output to thousands of subscribers because per-subscriber cost is
-/// one render + one bounded-channel drain + one write-buffer copy — no
-/// threads, no per-subscriber allocation beyond the entry. The BENCH_SERIES
+/// one bounded-channel drain + one frame assembled from the entry's
+/// "DATA <sid>" prefix and a tuple slice rendered once per publish for all
+/// of them + one write-buffer copy — no threads, no per-subscriber
+/// allocation beyond the entry. The BENCH_SERIES
 /// lines plot p99 publish-to-delivered latency against subscriber count
 /// (100 → 10k) together with the VmRSS plateau, so a super-linear latency
 /// curve or an RSS blow-up at 10k fails review even when the mean stays
@@ -40,7 +42,7 @@ namespace {
 
 /// Fast in-memory consumer: frames are counted and discarded (PendingBytes
 /// stays 0), so the mux never sees backpressure and the measurement is the
-/// render + fan-out copy cost alone.
+/// shared render + per-subscriber frame copy cost alone.
 class CountingSink : public MuxSink {
  public:
   bool Deliver(std::string_view wire) override {

@@ -24,8 +24,10 @@ threads) — the threaded core.
 --asan builds with AddressSanitizer (default build dir: build-asan) and
 runs the state/durability test binaries (ft, kvstore, snapshot, queue,
 and the sharded pipeline's checkpoint/restore), the types serde decoder,
-and the net frame/buffer parsing — the buffers, byte decoders and file
-framing the fault-tolerance and wire layers serialize.
+the net frame/buffer parsing, and the runtime and service tests that own
+the lifetime of result payloads shared between subscriptions — the
+buffers, byte decoders, file framing and shared rows the fault-tolerance,
+wire and fan-out layers hand around.
 --ubsan builds with UndefinedBehaviorSanitizer (default build dir:
 build-ubsan) and runs the columnar/typed-kernel test binaries (types,
 columnar, expr, batch equivalence, window equivalence, aggregates) —
@@ -84,11 +86,11 @@ if [[ "$ASAN" == 1 ]]; then
   echo "== build (asan) =="
   cmake --build "$BUILD_DIR" -j"$(nproc)" --target \
     ft_test kvstore_test snapshot_test state_test queue_test shard_test \
-    types_test net_test
+    types_test net_test runtime_test service_test
 
-  echo "== ctest (asan: ft/state/durability + serde + net framing) =="
+  echo "== ctest (asan: ft/state/durability + serde + net framing + shared payloads) =="
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \
-    -R 'ft_test|kvstore_test|snapshot_test|state_test|queue_test|shard_test|types_test|net_test'
+    -R 'ft_test|kvstore_test|snapshot_test|state_test|queue_test|shard_test|types_test|net_test|runtime_test|service_test'
 
   echo "tier-1 asan check: OK"
   exit 0

@@ -9,10 +9,17 @@
 namespace cq::net {
 
 std::string EncodeFrame(std::string_view payload) {
-  uint32_t be = htonl(static_cast<uint32_t>(payload.size()));
-  std::string wire(reinterpret_cast<const char*>(&be), sizeof(be));
-  wire.append(payload);
+  std::string wire;
+  AppendFrame(&wire, payload, /*body=*/{});
   return wire;
+}
+
+void AppendFrame(std::string* out, std::string_view head,
+                 std::string_view body) {
+  const uint32_t be = htonl(static_cast<uint32_t>(head.size() + body.size()));
+  out->append(reinterpret_cast<const char*>(&be), sizeof(be));
+  out->append(head);
+  out->append(body);
 }
 
 Result<bool> FrameReader::Next(std::string* out) {

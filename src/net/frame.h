@@ -33,6 +33,11 @@ constexpr uint32_t kMaxFrameBytes = 1u << 20;  // 1 MiB
 /// \brief Renders `payload` as wire bytes: u32 big-endian length + payload.
 std::string EncodeFrame(std::string_view payload);
 
+/// \brief Appends to `out` the wire bytes of a frame whose payload is `head`
+/// then `body` — EncodeFrame(head + body) without building the payload.
+void AppendFrame(std::string* out, std::string_view head,
+                 std::string_view body);
+
 /// \brief Incremental decoder for length-prefixed frames.
 ///
 /// Usage per readiness event: Append() every chunk recv returned, then loop

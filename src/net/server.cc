@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 
@@ -69,22 +70,35 @@ Result<Tuple> ParseRow(const std::string& csv, const Schema& schema) {
   values.reserve(fields.size());
   for (size_t i = 0; i < fields.size(); ++i) {
     const std::string& f = fields[i];
-    try {
-      switch (schema.field(i).type) {
-        case ValueType::kInt64:
-          values.emplace_back(static_cast<int64_t>(std::stoll(f)));
-          break;
-        case ValueType::kDouble:
-          values.emplace_back(std::stod(f));
-          break;
-        case ValueType::kBool:
-          values.emplace_back(f == "true" || f == "1");
-          break;
-        default:
-          values.emplace_back(f);
-          break;
+    const char* first = f.data();
+    const char* last = f.data() + f.size();
+    // A field is valid only if it is wholly a value of its column's type:
+    // "12abc" in an int64 column is an error, not 12.
+    bool ok = true;
+    switch (schema.field(i).type) {
+      case ValueType::kInt64: {
+        int64_t v = 0;
+        auto [end, ec] = std::from_chars(first, last, v);
+        ok = ec == std::errc() && end == last;
+        values.emplace_back(v);
+        break;
       }
-    } catch (const std::exception&) {
+      case ValueType::kDouble: {
+        double v = 0;
+        auto [end, ec] = std::from_chars(first, last, v);
+        ok = ec == std::errc() && end == last;
+        values.emplace_back(v);
+        break;
+      }
+      case ValueType::kBool:
+        ok = f == "true" || f == "false" || f == "1" || f == "0";
+        values.emplace_back(f == "true" || f == "1");
+        break;
+      default:
+        values.emplace_back(f);
+        break;
+    }
+    if (!ok) {
       return Status::InvalidArgument("bad value '" + f + "' for column " +
                                      std::to_string(i));
     }
@@ -135,6 +149,32 @@ std::string HttpResponse(const char* status_line,
   return out;
 }
 
+/// A batch's records rendered as the shared tail of their DATA frames,
+/// " t=<ts> <tuple>", back to back. A push frame puts "DATA <sid>" ahead of
+/// a slice, a POLL reply a bare "DATA".
+class RenderedRecords {
+ public:
+  explicit RenderedRecords(const StreamBatch& batch) {
+    for (const StreamElement& e : batch) {
+      if (!e.is_record()) continue;
+      text_ += " t=";
+      text_ += std::to_string(e.timestamp);
+      text_ += ' ';
+      text_ += e.tuple.ToString();
+      ends_.push_back(text_.size());
+    }
+  }
+  size_t size() const { return ends_.size(); }
+  std::string_view slice(size_t i) const {
+    const size_t begin = i == 0 ? 0 : ends_[i - 1];
+    return std::string_view(text_).substr(begin, ends_[i] - begin);
+  }
+
+ private:
+  std::string text_;
+  std::vector<size_t> ends_;  // end offset of each record's slice
+};
+
 }  // namespace
 
 // --- SubscriberMux ----------------------------------------------------------
@@ -155,6 +195,7 @@ uint64_t SubscriberMux::Add(uint64_t sid, std::string tenant,
   entry.tenant = std::move(tenant);
   entry.feed = std::move(feed);
   entry.sink = sink;
+  entry.prefix = "DATA " + std::to_string(sid);
   entries_.emplace(id, std::move(entry));
   sinks_.try_emplace(sink);
   if (subscribers_gauge_) subscribers_gauge_->Set(entries_.size());
@@ -174,40 +215,84 @@ void SubscriberMux::RemoveSink(MuxSink* sink) {
   if (subscribers_gauge_) subscribers_gauge_->Set(entries_.size());
 }
 
-void SubscriberMux::StageFromFeed(Entry* entry) {
-  StreamBatch batch;
-  while (entry->feed->TryPoll(&batch)) {
-    for (const auto& e : batch) {
-      if (!e.is_record()) continue;
-      entry->staged.push_back(EncodeFrame(
-          "DATA " + std::to_string(entry->sid) + " t=" +
-          std::to_string(e.timestamp) + " " + e.tuple.ToString()));
+struct SubscriberMux::Rendered {
+  RenderedRecords records;
+  StreamBatch batch;  // pins the payload whose address keys the cache
+};
+
+std::shared_ptr<const SubscriberMux::Rendered> SubscriberMux::Render(
+    StreamBatch batch) {
+  auto [it, inserted] = render_cache_.try_emplace(batch.elements().data());
+  if (inserted) {
+    RenderedRecords records(batch);
+    it->second = std::make_shared<const Rendered>(
+        Rendered{std::move(records), std::move(batch)});
+  }
+  return it->second;
+}
+
+bool SubscriberMux::SendFrame(Entry* entry, std::string_view head,
+                              std::string_view body, int64_t now_ns,
+                              bool force) {
+  const size_t wire_bytes = sizeof(uint32_t) + head.size() + body.size();
+  if (config_.quotas != nullptr) {
+    if (force) {
+      // Drain path: the gate is bypassed but the per-tenant egress
+      // accounting stays truthful.
+      config_.quotas->NoteEgress(entry->tenant, wire_bytes);
+    } else if (!config_.quotas->TryConsumeEgress(entry->tenant, wire_bytes,
+                                                 now_ns)) {
+      return false;
     }
   }
-  if (entry->feed->Closed() && !entry->closed_notified) {
-    entry->staged.push_back(
-        EncodeFrame("CLOSED " + std::to_string(entry->sid)));
-    entry->closed_notified = true;
+  frame_.clear();
+  AppendFrame(&frame_, head, body);
+  entry->sink->Deliver(frame_);
+  frames_delivered_++;
+  return true;
+}
+
+void SubscriberMux::DeliverEntry(Entry* entry, int64_t now_ns, bool force) {
+  while (true) {
+    if (entry->staged != nullptr) {
+      const RenderedRecords& records = entry->staged->records;
+      for (; entry->next < records.size(); ++entry->next) {
+        if (!SendFrame(entry, entry->prefix, records.slice(entry->next),
+                       now_ns, force)) {
+          return;  // throttled: the rest stays staged for a later pump
+        }
+      }
+      entry->staged.reset();
+    }
+    if (entry->closed_notified) return;
+    // Read before polling: closed and then found empty means drained.
+    const bool closed = entry->feed->Closed();
+    StreamBatch batch;
+    if (entry->feed->TryPoll(&batch)) {
+      if (batch.num_records() > 0) {
+        entry->staged = Render(std::move(batch));
+        entry->next = 0;
+      }
+      continue;
+    }
+    if (closed && SendFrame(entry, "CLOSED " + std::to_string(entry->sid),
+                            /*body=*/{}, now_ns, force)) {
+      entry->closed_notified = true;
+    }
+    return;
   }
 }
 
-void SubscriberMux::DeliverStaged(Entry* entry, int64_t now_ns, bool force) {
-  while (!entry->staged.empty()) {
-    const std::string& frame = entry->staged.front();
-    if (config_.quotas != nullptr) {
-      if (force) {
-        // Drain path: the gate is bypassed but the per-tenant egress
-        // accounting stays truthful.
-        config_.quotas->NoteEgress(entry->tenant, frame.size());
-      } else if (!config_.quotas->TryConsumeEgress(entry->tenant,
-                                                   frame.size(), now_ns)) {
-        return;  // throttled: the frame stays staged for a later pump
-      }
+void SubscriberMux::EndPass() {
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    if (it->second.closed_notified) {
+      it = entries_.erase(it);
+    } else {
+      ++it;
     }
-    entry->sink->Deliver(frame);
-    entry->staged.pop_front();
-    frames_delivered_++;
   }
+  if (subscribers_gauge_) subscribers_gauge_->Set(entries_.size());
+  render_cache_.clear();
 }
 
 size_t SubscriberMux::Pump(int64_t now_ns) {
@@ -233,19 +318,9 @@ size_t SubscriberMux::Pump(int64_t now_ns) {
     if (sit != sinks_.end() && sit->second.over_since_ns >= 0) {
       continue;  // backed up: stop copying, let the channel absorb (or drop)
     }
-    StageFromFeed(&entry);
-    DeliverStaged(&entry, now_ns, /*force=*/false);
+    DeliverEntry(&entry, now_ns, /*force=*/false);
   }
-
-  // Entries whose feed closed and whose frames all shipped are done.
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.closed_notified && it->second.staged.empty()) {
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (subscribers_gauge_) subscribers_gauge_->Set(entries_.size());
+  EndPass();
 
   for (MuxSink* sink : victims) {
     num_evicted_++;
@@ -266,17 +341,9 @@ size_t SubscriberMux::Pump(int64_t now_ns) {
 size_t SubscriberMux::FlushAll() {
   const uint64_t before = frames_delivered_;
   for (auto& [id, entry] : entries_) {
-    StageFromFeed(&entry);
-    DeliverStaged(&entry, /*now_ns=*/0, /*force=*/true);
+    DeliverEntry(&entry, /*now_ns=*/0, /*force=*/true);
   }
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.closed_notified && it->second.staged.empty()) {
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (subscribers_gauge_) subscribers_gauge_->Set(entries_.size());
+  EndPass();
   return frames_delivered_ - before;
 }
 
@@ -713,13 +780,13 @@ std::string Server::DispatchCommand(Connection* conn, const std::string& line) {
     if (it == conn->poll_subs_.end()) return "ERR no such subscription";
     size_t n = 0;
     StreamBatch batch;
+    std::string frame;
     while (it->second->TryPoll(&batch)) {
-      for (const auto& e : batch) {
-        if (!e.is_record()) continue;
-        conn->wbuf_.Append(
-            EncodeFrame("DATA t=" + std::to_string(e.timestamp) + " " +
-                        e.tuple.ToString()));
-        ++n;
+      const RenderedRecords records(batch);
+      for (size_t i = 0; i < records.size(); ++i, ++n) {
+        frame.clear();
+        AppendFrame(&frame, "DATA", records.slice(i));
+        conn->wbuf_.Append(frame);
       }
     }
     std::string tail = "OK n=" + std::to_string(n);

@@ -32,10 +32,18 @@
 ///                          the optional key names shard-key columns
 ///                          (sharded backend only)
 ///
+/// Egress sharing: every subscription of a query holds a handle on one
+/// result payload per watermark (StreamBatch copies share their rows). A
+/// pump pass renders each payload's " t=<ts> <tuple>" slices once; every
+/// feed that polled it writes its own "DATA <sid>" prefix ahead of the
+/// shared slice, so the bytes on the wire are those of a per-feed render.
+///
 /// Quota semantics: a tenant over its egress budget is *throttled* — the mux
-/// stops copying its frames and results back up in the bounded subscription
-/// channels (dropping there, counted per subscription, once credits run
-/// out). Throttling never closes a connection. Eviction is reserved for
+/// stops copying its frames. An entry holds at most the one batch it was
+/// delivering and polls its feed again only once that batch is out, so
+/// results back up in the bounded subscription channels (dropping there,
+/// counted per subscription, once credits run out), not in mux memory.
+/// Throttling never closes a connection. Eviction is reserved for
 /// consumers that stop reading: a connection whose write backlog stays above
 /// the high watermark for the whole eviction grace is closed and its feeds
 /// cancelled.
@@ -47,11 +55,12 @@
 /// drain hook (the embedding process checkpoints and publishes staged fence
 /// frames there), then close everything and return from Run().
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "net/backend.h"
@@ -112,9 +121,10 @@ class SubscriberMux {
     evict_handler_ = std::move(handler);
   }
 
-  /// \brief One pump pass at `now_ns`: per entry, deliver staged frames and
-  /// drain the feed until it runs dry, the tenant runs out of egress
-  /// tokens, or the sink crosses the high watermark. Returns frames
+  /// \brief One pump pass at `now_ns`: per entry whose sink is under the
+  /// high watermark, finish the staged batch, then poll and deliver batch
+  /// by batch until the feed runs dry or the tenant runs out of egress
+  /// tokens (the rest of that batch stays staged). Returns frames
   /// delivered.
   size_t Pump(int64_t now_ns);
 
@@ -127,24 +137,40 @@ class SubscriberMux {
   uint64_t num_evicted() const { return num_evicted_; }
 
  private:
+  /// One polled batch's records rendered once per pass and shared by every
+  /// entry that polled the same payload (defined in server.cc).
+  struct Rendered;
   struct Entry {
     uint64_t sid = 0;
     std::string tenant;
     std::unique_ptr<SubscriberFeed> feed;
     MuxSink* sink = nullptr;
-    /// Rendered wire frames awaiting egress tokens (carry across pumps).
-    std::deque<std::string> staged;
-    bool closed_notified = false;
+    std::string prefix;  // "DATA <sid>", written ahead of every slice
+    /// The batch being delivered and its next undelivered record. Kept
+    /// across pumps while the tenant is throttled; the feed is polled only
+    /// once it is used up, so a backlog waits in the bounded channel.
+    std::shared_ptr<const Rendered> staged;
+    size_t next = 0;
+    bool closed_notified = false;  // "CLOSED <sid>" delivered
   };
   struct SinkState {
     int64_t over_since_ns = -1;  // -1 = under the watermark
   };
 
-  /// Renders feed output into entry->staged; returns false when the feed is
-  /// exhausted AND closed (entry ready for removal once staged drains).
-  void StageFromFeed(Entry* entry);
-  /// Delivers staged frames; stops on token exhaustion unless `force`.
-  void DeliverStaged(Entry* entry, int64_t now_ns, bool force);
+  /// Delivers the staged batch, then polls and delivers further batches
+  /// until the feed runs dry (then "CLOSED <sid>" if it closed) or the
+  /// egress gate refuses a frame. `force` bypasses the gate.
+  void DeliverEntry(Entry* entry, int64_t now_ns, bool force);
+  /// The rendering of `batch`, shared with every entry that polled the
+  /// same payload earlier in this pass.
+  std::shared_ptr<const Rendered> Render(StreamBatch batch);
+  /// One frame whose payload is `head` + `body`, through the egress gate.
+  /// False (nothing delivered) when the tenant is out of tokens.
+  bool SendFrame(Entry* entry, std::string_view head, std::string_view body,
+                 int64_t now_ns, bool force);
+  /// Ends a pass: retires entries whose CLOSED frame shipped and unpins
+  /// the pass's renderings.
+  void EndPass();
 
   MuxConfig config_;
   std::map<uint64_t, Entry> entries_;  // entry id -> entry
@@ -153,6 +179,11 @@ class SubscriberMux {
   uint64_t frames_delivered_ = 0;
   uint64_t num_evicted_ = 0;
   std::function<void(MuxSink*)> evict_handler_;
+  /// Renderings of this pass, keyed by payload address; each pins its
+  /// batch, so an address cannot be reused while it is a key.
+  std::unordered_map<const StreamElement*, std::shared_ptr<const Rendered>>
+      render_cache_;
+  std::string frame_;  // reused frame assembly buffer
   Gauge* subscribers_gauge_ = nullptr;
   Counter* evicted_counter_ = nullptr;
 };

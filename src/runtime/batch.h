@@ -13,6 +13,7 @@
 /// delivering a batch element-by-element and delivering it as a batch are
 /// observably equivalent for linear pipelines.
 
+#include <atomic>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -26,32 +27,42 @@ namespace cq {
 class ColumnarBatch;
 
 /// \brief An ordered run of stream elements exchanged as one unit.
+///
+/// The rows live behind a shared_ptr, so copying a batch is a refcount bump:
+/// a result fanned out to N subscriptions is one payload with N handles. The
+/// first write through a handle whose payload is shared copies it (copy on
+/// write); siblings never observe the change. Per-handle bookkeeping (trace,
+/// enqueue stamp, cached record count) is not shared.
 class StreamBatch {
  public:
   StreamBatch() = default;
   explicit StreamBatch(std::vector<StreamElement> elements)
-      : elements_(std::move(elements)), cache_dirty_(true) {}
+      : rows_(std::make_shared<std::vector<StreamElement>>(
+            std::move(elements))),
+        cache_dirty_(true) {}
 
   void AddRecord(Tuple tuple, Timestamp ts) {
     ++num_records_;
     if (ts > max_ts_) max_ts_ = ts;
-    elements_.push_back(StreamElement::Record(std::move(tuple), ts));
+    MutableRows().push_back(StreamElement::Record(std::move(tuple), ts));
   }
   void AddWatermark(Timestamp ts) {
-    elements_.push_back(StreamElement::Watermark(ts));
+    MutableRows().push_back(StreamElement::Watermark(ts));
   }
   void Add(StreamElement element) {
     if (element.is_record()) {
       ++num_records_;
       if (element.timestamp > max_ts_) max_ts_ = element.timestamp;
     }
-    elements_.push_back(std::move(element));
+    MutableRows().push_back(std::move(element));
   }
 
-  size_t size() const { return elements_.size(); }
-  bool empty() const { return elements_.empty() && columnar_ == nullptr; }
+  size_t size() const { return elements().size(); }
+  bool empty() const { return elements().empty() && columnar_ == nullptr; }
+  /// \brief Empties this handle. A shared payload is released, not
+  /// cleared, so its siblings keep their rows.
   void clear() {
-    elements_.clear();
+    rows_.reset();
     columnar_.reset();
     trace_ = TraceContext();
     enqueue_ns_ = 0;
@@ -59,24 +70,21 @@ class StreamBatch {
     max_ts_ = kMinTimestamp;
     cache_dirty_ = false;
   }
-  void reserve(size_t n) { elements_.reserve(n); }
+  void reserve(size_t n) { MutableRows().reserve(n); }
 
-  const StreamElement& at(size_t i) const { return elements_[i]; }
-  const StreamElement& operator[](size_t i) const { return elements_[i]; }
+  const StreamElement& at(size_t i) const { return elements()[i]; }
+  const StreamElement& operator[](size_t i) const { return elements()[i]; }
 
-  auto begin() const { return elements_.begin(); }
-  auto end() const { return elements_.end(); }
+  auto begin() const { return elements().begin(); }
+  auto end() const { return elements().end(); }
 
-  const std::vector<StreamElement>& elements() const { return elements_; }
-  /// \brief Mutable element access invalidates the cached record-count /
-  /// max-timestamp (they are lazily recomputed on next read).
-  std::vector<StreamElement>& mutable_elements() {
-    cache_dirty_ = true;
-    return elements_;
+  const std::vector<StreamElement>& elements() const {
+    return rows_ != nullptr ? *rows_ : EmptyRows();
   }
 
   /// \brief Number of data records (excludes watermarks). O(1): maintained
-  /// on Add* and recomputed lazily only after mutable_elements() access.
+  /// on Add* and computed once, lazily, for a batch built from a vector —
+  /// call it before copying such a batch so the copies inherit the count.
   size_t num_records() const {
     if (cache_dirty_) RecomputeCache();
     return num_records_;
@@ -116,7 +124,7 @@ class StreamBatch {
   void RecomputeCache() const {
     num_records_ = 0;
     max_ts_ = kMinTimestamp;
-    for (const auto& e : elements_) {
+    for (const auto& e : elements()) {
       if (e.is_record()) {
         ++num_records_;
         if (e.timestamp > max_ts_) max_ts_ = e.timestamp;
@@ -125,7 +133,31 @@ class StreamBatch {
     cache_dirty_ = false;
   }
 
-  std::vector<StreamElement> elements_;
+  static const std::vector<StreamElement>& EmptyRows() {
+    static const std::vector<StreamElement> kEmpty;
+    return kEmpty;
+  }
+
+  /// The payload to append to: allocated on first write, copied first when
+  /// another handle shares it.
+  std::vector<StreamElement>& MutableRows() {
+    if (rows_ == nullptr) {
+      rows_ = std::make_shared<std::vector<StreamElement>>();
+    } else if (rows_.use_count() != 1) {
+      rows_ = std::make_shared<std::vector<StreamElement>>(*rows_);
+    } else {
+      // Sole owner. A sibling released on another thread did so with an
+      // acq_rel decrement; the count load above is relaxed, so this fence
+      // orders that thread's reads before the writes that follow.
+      // ThreadSanitizer does not model fences, so its build omits it.
+#if !defined(__SANITIZE_THREAD__)
+      std::atomic_thread_fence(std::memory_order_acquire);
+#endif
+    }
+    return *rows_;
+  }
+
+  std::shared_ptr<std::vector<StreamElement>> rows_;  // null = no rows
   std::shared_ptr<ColumnarBatch> columnar_;  // exchange envelope (or null)
   TraceContext trace_;
   int64_t enqueue_ns_ = 0;

@@ -362,13 +362,15 @@ Status SubscriptionSinkOperator::OnWatermark(Timestamp watermark,
     out_tc = *ctx.trace;
     out_tc.parent_span = publish.span_id;
   }
+  // One payload per watermark: every subscription gets a handle on it (a
+  // refcount bump). Counting records first lets the handles share the
+  // count instead of each channel push rescanning the rows.
+  StreamBatch shared(std::move(pending_));
+  shared.num_records();
+  if (tracing) shared.set_trace(out_tc);
   bool any_closed = false;
-  for (size_t i = 0; i < subs_.size(); ++i) {
-    const SubscriptionPtr& sub = subs_[i];
-    // Every subscription but the last gets a copy; the last takes pending_.
-    StreamBatch batch = i + 1 < subs_.size() ? StreamBatch(pending_)
-                                             : StreamBatch(std::move(pending_));
-    if (tracing) batch.set_trace(out_tc);
+  for (const SubscriptionPtr& sub : subs_) {
+    StreamBatch batch = shared;
     Status st;
     if (!sub->channel_.TryPush(&batch, &st)) {
       if (st.ok()) {

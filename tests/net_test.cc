@@ -6,8 +6,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -525,6 +527,180 @@ TEST(SubscriberMuxTest, DroppedQueryEmitsClosedFrameThenEntryRetires) {
   EXPECT_EQ(mux.NumEntries(), 0u);
 }
 
+/// Decorator over a feed that keeps a handle on every batch that leaves it,
+/// so a test can count them and render what the mux should have sent.
+class RecordingFeed : public SubscriberFeed {
+ public:
+  RecordingFeed(std::unique_ptr<SubscriberFeed> inner,
+                std::vector<StreamBatch>* log)
+      : inner_(std::move(inner)), log_(log) {}
+  bool TryPoll(StreamBatch* out) override {
+    if (!inner_->TryPoll(out)) return false;
+    log_->push_back(*out);
+    return true;
+  }
+  void Cancel() override { inner_->Cancel(); }
+  bool Closed() const override { return inner_->Closed(); }
+  size_t Depth() const override { return inner_->Depth(); }
+  uint64_t QueryId() const override { return inner_->QueryId(); }
+
+ private:
+  std::unique_ptr<SubscriberFeed> inner_;
+  std::vector<StreamBatch>* log_;
+};
+
+TEST(SubscriberMuxTest, ThrottledTenantBacklogStaysInTheChannel) {
+  MuxRig rig;
+  LocalBackend backend(&rig.svc);
+  TenantQuotas quotas;
+  // "DATA 1 t=<ts> ('ACME', 42)" is 27 wire bytes: the bucket admits one.
+  quotas.SetQuota("acme",
+                  {.egress_bytes_per_sec = 30, .egress_burst_bytes = 30});
+  MuxConfig config;
+  config.quotas = &quotas;
+  SubscriberMux mux(config);
+  MockSink sink;
+  auto feed = backend.Subscribe(rig.query);
+  ASSERT_TRUE(feed.ok());
+  std::vector<StreamBatch> polled;
+  mux.Add(1, "acme",
+          std::make_unique<RecordingFeed>(std::move(*feed), &polled), &sink);
+
+  for (Timestamp ts = 1; ts <= 100; ++ts) rig.PushOne(ts);
+  EXPECT_EQ(mux.Pump(/*now_ns=*/0), 1u);
+  ASSERT_EQ(sink.delivered.size(), 1u);
+  // The throttled tenant's results wait in the bounded subscription
+  // channel, not in mux memory: at most the batch being delivered (and
+  // one probe beyond it) left the feed.
+  EXPECT_LE(polled.size(), 2u);
+}
+
+SchemaPtr MixedSchema() {
+  return Schema::Make({{"sym", ValueType::kString},
+                       {"qty", ValueType::kInt64},
+                       {"px", ValueType::kDouble},
+                       {"ok", ValueType::kBool}});
+}
+
+/// Reference rendering of one DATA frame, built whole from its parts.
+std::string GoldenData(const std::string& head, const StreamElement& e) {
+  return EncodeFrame(head + " t=" + std::to_string(e.timestamp) + " " +
+                     e.tuple.ToString());
+}
+
+/// Two queries × three LISTEN feeds over `backend`, one feed per query on
+/// a throttled tenant; results pumped, the first query dropped mid-backlog,
+/// the rest drained by FlushAll. Every frame must equal the golden
+/// rendering of the batches its feed handed out, CLOSED last.
+void CheckGoldenEgress(ServiceBackend* backend,
+                       std::vector<size_t> shard_key) {
+  ASSERT_TRUE(
+      backend->RegisterStream("mixed", MixedSchema(), std::move(shard_key))
+          .ok());
+  auto q1 = backend->RegisterQuery(
+      "SELECT sym, qty, px, ok FROM mixed [Range 100] WHERE qty > 0");
+  auto q2 = backend->RegisterQuery(
+      "SELECT sym, px, ok FROM mixed [Range 100] WHERE px > 1.0");
+  ASSERT_TRUE(q1.ok() && q2.ok());
+
+  TenantQuotas quotas;
+  quotas.SetQuota("slow",
+                  {.egress_bytes_per_sec = 200, .egress_burst_bytes = 200});
+  MuxConfig config;
+  config.quotas = &quotas;
+  SubscriberMux mux(config);
+  struct Feed {
+    uint64_t sid = 0;
+    cq::QueryId query = 0;
+    std::vector<StreamBatch> log;
+    MockSink sink;
+  };
+  std::vector<std::unique_ptr<Feed>> feeds;
+  for (cq::QueryId q : {*q1, *q2}) {
+    for (int k = 0; k < 3; ++k) {
+      auto f = std::make_unique<Feed>();
+      f->sid = feeds.size() + 1;
+      f->query = q;
+      auto inner = backend->Subscribe(q);
+      ASSERT_TRUE(inner.ok());
+      mux.Add(f->sid, k == 2 ? "slow" : "default",
+              std::make_unique<RecordingFeed>(std::move(*inner), &f->log),
+              &f->sink);
+      feeds.push_back(std::move(f));
+    }
+  }
+
+  const char* syms[] = {"ACME", "Big Co", "o'k", "Z"};
+  Timestamp ts = 0;
+  auto push_period = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      ++ts;
+      Tuple row{Value(syms[ts % 4]), Value(int64_t(ts % 5) - 1),
+                Value(double(ts) * 0.75), Value(ts % 2 == 0)};
+      ASSERT_TRUE(backend->PushRecord("mixed", std::move(row), ts).ok());
+    }
+    ASSERT_TRUE(backend->PushWatermark("mixed", ts).ok());
+  };
+
+  // Pumped as periods close: the slow tenant falls behind and delivers
+  // from its staged batch across pumps.
+  int64_t now = 0;
+  for (int p = 0; p < 6; ++p) {
+    push_period(4);
+    mux.Pump(now);
+    now += 100'000'000;
+  }
+  EXPECT_GT(quotas.ThrottledCount("slow"), 0u);
+  // DROP with the slow feed's backlog still pending: CLOSED follows it.
+  ASSERT_TRUE(backend->DropQuery(*q1).ok());
+  for (int i = 0; i < 100 && mux.NumEntries() > 3; ++i) {
+    now += 1'000'000'000;
+    mux.Pump(now);
+  }
+  EXPECT_EQ(mux.NumEntries(), 3u);
+  // More output for q2, then the drain path: delivered past the gate.
+  for (int p = 0; p < 3; ++p) push_period(4);
+  mux.FlushAll();
+
+  std::map<cq::QueryId, std::vector<std::string>> bodies;  // sid stripped
+  for (const auto& f : feeds) {
+    const std::string head = "DATA " + std::to_string(f->sid);
+    std::vector<std::string> want;
+    for (const StreamBatch& b : f->log) {
+      for (const StreamElement& e : b) {
+        if (e.is_record()) want.push_back(GoldenData(head, e));
+      }
+    }
+    EXPECT_GT(want.size(), 0u) << "sid " << f->sid;
+    if (f->query == *q1) {
+      want.push_back(EncodeFrame("CLOSED " + std::to_string(f->sid)));
+    }
+    EXPECT_EQ(f->sink.delivered, want) << "sid " << f->sid;
+    std::vector<std::string> stripped;
+    for (const std::string& frame : f->sink.delivered) {
+      if (frame.find(head + " t=") != 4) continue;
+      stripped.push_back(frame.substr(4 + head.size()));
+    }
+    std::sort(stripped.begin(), stripped.end());
+    auto [it, fresh] = bodies.try_emplace(f->query, stripped);
+    if (!fresh) {
+      EXPECT_EQ(stripped, it->second) << "sid " << f->sid;
+    }
+  }
+}
+
+TEST(SubscriberMuxTest, EgressBytesMatchGoldenRenderingOnLocalBackend) {
+  QueryService svc(Catalog{}, ServiceConfig{});
+  LocalBackend backend(&svc);
+  CheckGoldenEgress(&backend, {});
+}
+
+TEST(SubscriberMuxTest, EgressBytesMatchGoldenRenderingOnShardedBackend) {
+  shard::ShardedQueryService svc(2);
+  ShardedBackend backend(&svc);
+  CheckGoldenEgress(&backend, {0});
+}
+
 // --- Server end-to-end ------------------------------------------------------
 
 /// Blocking protocol client for driving a live server.
@@ -1004,6 +1180,106 @@ TEST(NetServerTest, ShardKeyOnLocalBackendIsRejected) {
       client.Cmd("STREAM trades sym:string,price:int64,qty:int64 key=sym");
   EXPECT_EQ(resp.rfind("ERR", 0), 0u) << resp;
   EXPECT_NE(resp.find("--shards"), std::string::npos) << resp;
+}
+
+// --- Row parsing ------------------------------------------------------------
+
+TEST(ParseRowTest, FieldMustBeWhollyAValueOfItsType) {
+  SchemaPtr schema = MixedSchema();
+  auto row = ParseRow("12abc,-12,1.5,true", *schema);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ(row->at(0).string_value(), "12abc");
+  EXPECT_EQ(row->at(1).int64_value(), -12);
+  EXPECT_EQ(row->at(2).double_value(), 1.5);
+  EXPECT_TRUE(row->at(3).bool_value());
+  for (const char* b : {"false", "0"}) {
+    auto r = ParseRow(std::string("s,1,2,") + b, *schema);
+    ASSERT_TRUE(r.ok()) << b;
+    EXPECT_FALSE(r->at(3).bool_value()) << b;
+  }
+  auto one = ParseRow("s,1,2,1", *schema);
+  ASSERT_TRUE(one.ok());
+  EXPECT_TRUE(one->at(3).bool_value());
+
+  for (const char* bad :
+       {"s,12abc,1.5,true", "s,1.9,1.5,true", "s,12,1.5x,true",
+        "s,12,1.5,yes", "s,,1.5,true", "s,12,,true", "s,12,1.5,",
+        "s, 12,1.5,true", "s,99999999999999999999,1.5,true",
+        "s,12,1e999,true"}) {
+    auto r = ParseRow(bad, *schema);
+    EXPECT_FALSE(r.ok()) << bad;
+    if (!r.ok()) {
+      EXPECT_TRUE(r.status().IsInvalidArgument()) << bad;
+    }
+  }
+}
+
+TEST(NetServerTest, PushWithMalformedFieldIsRejected) {
+  ServerRig rig;
+  TestClient client(rig.server->port());
+  ASSERT_EQ(client.Cmd("STREAM trades sym:string,price:int64,qty:int64"),
+            "OK");
+  std::string resp = client.Cmd("PUSH trades 1 ACME,12abc,5");
+  EXPECT_EQ(resp.rfind("ERR", 0), 0u) << resp;
+  EXPECT_EQ(client.Cmd("PUSH trades 1 ACME,12,5"), "OK");
+}
+
+TEST(NetServerTest, PollAndPushFramesMatchGoldenRendering) {
+  ServerRig rig;
+  TestClient client(rig.server->port());
+  // Pushed frames (sub 2) may arrive between any two replies: stash them.
+  std::vector<std::string> pushed;
+  auto reply = [&](const std::string& cmd) {
+    if (!cmd.empty()) client.Send(cmd);
+    while (true) {
+      std::string frame = client.Recv();
+      if (frame.rfind("DATA 2 ", 0) == 0 || frame.rfind("CLOSED 2", 0) == 0) {
+        pushed.push_back(frame);
+        continue;
+      }
+      return frame;
+    }
+  };
+  ASSERT_EQ(reply("STREAM mixed sym:string,qty:int64,px:double,ok:bool"),
+            "OK");
+  ASSERT_EQ(reply("REGISTER SELECT sym, qty, px, ok FROM mixed [Range 100] "
+                  "WHERE qty > 0"),
+            "OK id=1");
+  auto ref = rig.svc.Subscribe(1);
+  ASSERT_TRUE(ref.ok());
+  ASSERT_EQ(reply("SUBSCRIBE 1"), "OK sub=1");
+  ASSERT_EQ(reply("LISTEN 1"), "OK sub=2 push");
+  ASSERT_EQ(reply("PUSH mixed 1 ACME,3,1.5,true"), "OK");
+  ASSERT_EQ(reply("PUSH mixed 2 Big Co,4,-0.25,false"), "OK");
+  ASSERT_EQ(reply("PUSH mixed 3 o'k,7,1e20,1"), "OK");
+  ASSERT_EQ(reply("PUSH mixed 4 Z,0,2,0"), "OK");
+  ASSERT_EQ(reply("WATERMARK mixed 4"), "OK");
+
+  std::vector<std::string> want_poll, want_push;
+  StreamBatch batch;
+  while ((*ref)->TryPoll(&batch)) {
+    for (const StreamElement& e : batch) {
+      if (!e.is_record()) continue;
+      // Payloads: the client strips the length prefix it checked.
+      want_poll.push_back(GoldenData("DATA", e).substr(4));
+      want_push.push_back(GoldenData("DATA 2", e).substr(4));
+    }
+  }
+  ASSERT_EQ(want_poll.size(), 3u);
+
+  client.Send("POLL 1");
+  std::vector<std::string> polled;
+  std::string tail;
+  while ((tail = reply("")).rfind("DATA t=", 0) == 0) polled.push_back(tail);
+  EXPECT_EQ(tail, "OK n=3");
+  EXPECT_EQ(polled, want_poll);
+
+  ASSERT_EQ(reply("DROP 1"), "OK");
+  while (pushed.empty() || pushed.back().rfind("CLOSED", 0) != 0) {
+    pushed.push_back(client.Recv());
+  }
+  want_push.push_back("CLOSED 2");
+  EXPECT_EQ(pushed, want_push);
 }
 
 }  // namespace

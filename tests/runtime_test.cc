@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "queue/broker.h"
@@ -32,6 +34,97 @@ TEST(StreamBatchTest, Accessors) {
   b.clear();
   EXPECT_TRUE(b.empty());
   EXPECT_EQ(b.MaxTimestamp(), kMinTimestamp);
+}
+
+TEST(StreamBatchTest, CopySharesRows) {
+  StreamBatch a;
+  a.AddRecord(T(1), 10);
+  a.AddWatermark(10);
+  StreamBatch b = a;
+  EXPECT_EQ(a.elements().data(), b.elements().data());
+  EXPECT_EQ(b.size(), 2u);
+  EXPECT_EQ(b.num_records(), 1u);
+  EXPECT_EQ(b.MaxTimestamp(), 10);
+}
+
+TEST(StreamBatchTest, AddOnCopyLeavesOriginalUntouched) {
+  StreamBatch a;
+  a.AddRecord(T(1), 10);
+  StreamBatch b = a;
+  b.AddRecord(T(2), 20);
+  EXPECT_NE(a.elements().data(), b.elements().data());
+  ASSERT_EQ(a.size(), 1u);
+  EXPECT_EQ(a.num_records(), 1u);
+  EXPECT_EQ(a.MaxTimestamp(), 10);
+  EXPECT_EQ(a[0].tuple.at(0).int64_value(), 1);
+  ASSERT_EQ(b.size(), 2u);
+  EXPECT_EQ(b.num_records(), 2u);
+  EXPECT_EQ(b.MaxTimestamp(), 20);
+  EXPECT_EQ(b[1].tuple.at(0).int64_value(), 2);
+}
+
+TEST(StreamBatchTest, ClearOnSharedCopyLeavesSiblingsIntact) {
+  StreamBatch a(std::vector<StreamElement>{
+      StreamElement::Record(T(1), 10), StreamElement::Record(T(2), 20),
+      StreamElement::Watermark(20)});
+  StreamBatch b = a;
+  StreamBatch c = a;
+  b.clear();
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(b.num_records(), 0u);
+  EXPECT_EQ(a.size(), 3u);
+  EXPECT_EQ(c.size(), 3u);
+  EXPECT_EQ(a.elements().data(), c.elements().data());
+  EXPECT_EQ(c.num_records(), 2u);
+  // The cleared handle builds a fresh payload of its own.
+  b.AddRecord(T(3), 30);
+  EXPECT_NE(b.elements().data(), a.elements().data());
+  EXPECT_EQ(a.size(), 3u);
+}
+
+TEST(StreamBatchTest, CopiesReadConcurrentlyWhileSubscriptionCancels) {
+  // One payload fanned out through two channels: two readers drain copies
+  // on their own threads while a third cancels one reader's channel and
+  // drops the producer's handle. Every copy a reader sees must be whole;
+  // a closed channel still drains what it queued.
+  StreamBatch shared;
+  for (int64_t i = 0; i < 64; ++i) shared.AddRecord(T(i), i);
+  shared.AddWatermark(63);
+  shared.num_records();
+  Channel a(0), b(0);
+  constexpr int kRounds = 200;
+  for (int r = 0; r < kRounds; ++r) {
+    StreamBatch ca = shared, cb = shared;
+    ASSERT_TRUE(a.Push(std::move(ca)).ok());
+    ASSERT_TRUE(b.Push(std::move(cb)).ok());
+  }
+  b.Close();
+  std::atomic<int> bad{0};
+  auto reader = [&bad](Channel* ch, int* seen) {
+    StreamBatch got;
+    while (ch->Pop(&got)) {
+      int64_t sum = 0;
+      for (const StreamElement& e : got) {
+        if (e.is_record()) sum += e.tuple.at(0).int64_value();
+      }
+      if (got.num_records() != 64 || sum != 64 * 63 / 2) bad++;
+      ch->Acknowledge();
+      ++*seen;
+    }
+  };
+  int seen_a = 0, seen_b = 0;
+  std::thread ta(reader, &a, &seen_a);
+  std::thread tb(reader, &b, &seen_b);
+  std::thread canceller([&a, &shared] {
+    a.Close();
+    shared.clear();
+  });
+  canceller.join();
+  ta.join();
+  tb.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(seen_a, kRounds);
+  EXPECT_EQ(seen_b, kRounds);
 }
 
 TEST(ChannelTest, FifoBatchDelivery) {
