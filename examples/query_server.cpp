@@ -52,6 +52,13 @@
 ///                                       when the query drops)
 ///     PUSH <name> <ts> <v1,v2,...>   -> OK   (CSV row per stream schema)
 ///     WATERMARK <name> <ts>          -> OK
+///                                       Consecutive PUSH/WATERMARK frames
+///                                       for one stream in one read burst
+///                                       are pushed as one batch; each
+///                                       still gets its own reply, in
+///                                       order: the batch's status, or ERR
+///                                       for a frame that does not parse
+///                                       (its neighbours are applied)
 ///     STATS                          -> OK + service counters
 ///     QUIT                           -> OK, closes the connection
 ///

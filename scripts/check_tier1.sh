@@ -32,7 +32,8 @@ wire and fan-out layers hand around.
 build-ubsan) and runs the columnar/typed-kernel test binaries (types,
 columnar, expr, batch equivalence, window equivalence, aggregates) —
 the typed column loops and grid arithmetic where signed overflow,
-misaligned reads, and bad casts would hide.
+misaligned reads, and bad casts would hide — plus the net and service
+tests, whose frame parser turns socket bytes into columnar batches.
 --optimizer builds with AddressSanitizer (default build dir:
 build-optimizer) and runs the plan-optimizer equivalence suite — the
 randomized optimized-vs-naive checks plus the kill-switch sweep
@@ -140,11 +141,12 @@ if [[ "$UBSAN" == 1 ]]; then
   echo "== build (ubsan) =="
   cmake --build "$BUILD_DIR" -j"$(nproc)" --target \
     types_test columnar_test expr_test aggregate_test \
-    batch_equivalence_test window_operator_equivalence_test dataflow_test
+    batch_equivalence_test window_operator_equivalence_test dataflow_test \
+    net_test service_test
 
-  echo "== ctest (ubsan: columnar / typed kernels) =="
+  echo "== ctest (ubsan: columnar / typed kernels + socket ingest) =="
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \
-    -R 'types_test|columnar_test|expr_test|aggregate_test|batch_equivalence_test|window_operator_equivalence_test|dataflow_test'
+    -R 'types_test|columnar_test|expr_test|aggregate_test|batch_equivalence_test|window_operator_equivalence_test|dataflow_test|net_test|service_test'
 
   echo "tier-1 ubsan check: OK"
   exit 0

@@ -20,39 +20,6 @@ Status ProcessEach(Operator* op, size_t port, const StreamElement* data,
 
 }  // namespace
 
-/// Routes an operator's emissions to its downstream nodes, recursively and
-/// depth-first: each emitted element is fully delivered before the next.
-class PipelineExecutor::RoutingCollector : public Collector {
- public:
-  RoutingCollector(PipelineExecutor* exec, NodeId node, NodeMetrics* m)
-      : exec_(exec),
-        edges_(&exec->graph_->outputs(node)),
-        records_out_(m != nullptr ? m->records_out : nullptr) {}
-
-  void Emit(StreamElement element) override {
-    if (element.is_record()) {
-      if (records_out_ != nullptr) records_out_->Increment();
-      ++emitted_records_;
-    }
-    for (const auto& e : *edges_) {
-      Status s = element.is_watermark()
-                     ? exec_->DeliverWatermark(e.to, e.port, element.timestamp)
-                     : exec_->Deliver(e.to, e.port, element);
-      if (!s.ok() && status_.ok()) status_ = s;
-    }
-  }
-
-  const Status& status() const { return status_; }
-  size_t emitted_records() const { return emitted_records_; }
-
- private:
-  PipelineExecutor* exec_;
-  const std::vector<DataflowGraph::Edge>* edges_;
-  Counter* records_out_;
-  size_t emitted_records_ = 0;
-  Status status_;
-};
-
 /// Frames nest like the delivery recursion. Each pushes a child-time slot;
 /// on close it charges self time (its total minus the totals of the frames
 /// opened inside it) to the node's latency histogram, records the op span
@@ -286,15 +253,10 @@ Status PipelineExecutor::Push(NodeId source, const StreamElement& element) {
   if (!graph_->is_live(source)) {
     return Status::InvalidArgument("no such node");
   }
-  if (element.is_barrier()) {
-    // Barriers are a channel-level protocol; the runtime consumes them
-    // before delivery (ShardedPipeline task loop, BarrierAligner).
-    return Status::Internal("checkpoint barrier leaked into the dataflow");
-  }
-  if (element.is_watermark()) {
-    return DeliverWatermark(source, 0, element.timestamp);
-  }
-  return Deliver(source, 0, element);
+  // Barriers are a channel-level protocol; the runtime consumes them
+  // before delivery (ShardedPipeline task loop, BarrierAligner), so
+  // DeliverSequence rejects one that leaks this far.
+  return DeliverSequence(source, 0, &element, 1);
 }
 
 Status PipelineExecutor::PushBatch(NodeId source, const StreamBatch& batch) {
@@ -492,7 +454,7 @@ Status PipelineExecutor::DeliverColumnarConsume(NodeId node, size_t port,
         st = ProcessEach(op, port, rows.elements().data(), rows.size(),
                          ContextFor(node), &collector);
       }
-      if (st.ok()) st = ForwardRun(node, m, seg_selected, emitted);
+      if (st.ok()) st = ForwardRun(node, m, seg_selected, &emitted);
     }
     if (st.ok() && mark_idx < marks.size()) {
       st = DeliverWatermark(node, port, marks[mark_idx].ts);
@@ -501,7 +463,6 @@ Status PipelineExecutor::DeliverColumnarConsume(NodeId node, size_t port,
     begin = end;
     if (begin >= batch.num_rows() && mark_idx >= marks.size()) break;
   }
-  emitted.clear();
   if (m != nullptr) {
     (all_handled ? m->vectorized_batches : m->row_fallback_batches)
         ->Increment();
@@ -533,10 +494,10 @@ Status PipelineExecutor::DeliverSequence(NodeId node, size_t port,
 
 Status PipelineExecutor::ForwardRun(NodeId node, NodeMetrics* m,
                                     size_t records_in,
-                                    const std::vector<StreamElement>& emitted) {
+                                    std::vector<StreamElement>* emitted) {
   if (m != nullptr) {
     size_t records_out = 0;
-    for (const auto& e : emitted) {
+    for (const auto& e : *emitted) {
       if (e.is_record()) ++records_out;
     }
     m->records_out->Increment(records_out);
@@ -545,12 +506,18 @@ Status PipelineExecutor::ForwardRun(NodeId node, NodeMetrics* m,
   // Each edge receives the full run, preserving per-element order along
   // every path. Downstream spans parent to this node's span (the caller's
   // open frame holds it as the active parent).
-  if (emitted.empty()) return Status::OK();
+  Status st;
   for (const auto& e : graph_->outputs(node)) {
-    CQ_RETURN_NOT_OK(
-        DeliverSequence(e.to, e.port, emitted.data(), emitted.size()));
+    if (emitted->empty()) break;
+    st = DeliverSequence(e.to, e.port, emitted->data(), emitted->size());
+    if (!st.ok()) break;
   }
-  return Status::OK();
+  // Destroy the run inside the caller's frame: with large runs the element
+  // destructors are a real cost, and it belongs to this node, not to
+  // whatever the caller does next (a trailing watermark would otherwise see
+  // the whole unwind as unattributed latency).
+  emitted->clear();
+  return st;
 }
 
 Status PipelineExecutor::DeliverBatch(NodeId node, size_t port,
@@ -562,7 +529,7 @@ Status PipelineExecutor::DeliverBatch(NodeId node, size_t port,
   std::vector<StreamElement> emitted;
   VectorCollector collector(&emitted);
   // Self time covers the per-node metric bookkeeping (O(count) scans) and
-  // the routing glue, mirroring the per-element path.
+  // the routing glue.
   NodeFrame frame(this, m, op, TracingNow());
   if (m != nullptr) {
     m->records_in->Increment(count);
@@ -574,34 +541,7 @@ Status PipelineExecutor::DeliverBatch(NodeId node, size_t port,
   }
   // ctx.watermark is constant across the run: watermarks split runs.
   Status st = ProcessEach(op, port, data, count, ContextFor(node), &collector);
-  if (st.ok()) st = ForwardRun(node, m, count, emitted);
-  // Destroy the emitted run inside the frame: with large batches the
-  // element destructors are a real cost, and it belongs to this node, not to
-  // whatever the caller does next (a trailing watermark would otherwise see
-  // the whole unwind as unattributed latency).
-  emitted.clear();
-  return st;
-}
-
-Status PipelineExecutor::Deliver(NodeId node, size_t port,
-                                 const StreamElement& element) {
-  NodeMetrics* m = metrics_ != nullptr ? &node_metrics_[node] : nullptr;
-  Operator* op = graph_->node(node);
-  RoutingCollector collector(this, node, m);
-  if (m != nullptr) {
-    m->records_in->Increment();
-    if (element.timestamp > m->max_event_ts) {
-      m->max_event_ts = element.timestamp;
-    }
-  }
-  Status st;
-  {
-    // Downstream deliveries run inside collector.Emit, within this frame.
-    NodeFrame frame(this, m, op, TracingNow());
-    st = op->ProcessElement(port, element, ContextFor(node), &collector);
-    if (st.ok()) st = collector.status();
-  }
-  if (m != nullptr) ObserveSelectivity(m, 1, collector.emitted_records());
+  if (st.ok()) st = ForwardRun(node, m, count, &emitted);
   return st;
 }
 
@@ -629,10 +569,12 @@ Status PipelineExecutor::DeliverWatermarkImpl(NodeId node, size_t port,
   }
 
   Operator* op = graph_->node(node);
-  RoutingCollector collector(this, node, m);
+  std::vector<StreamElement> emitted;
+  VectorCollector collector(&emitted);
   NodeFrame frame(this, m, op, TracingNow(), /*watermark=*/true);
   Status st = op->OnWatermark(combined, ContextFor(node), &collector);
-  if (st.ok()) st = collector.status();
+  // What the watermark released travels as one run, ahead of the mark.
+  if (st.ok()) st = ForwardRun(node, m, /*records_in=*/0, &emitted);
   if (st.ok() && forward) {
     // Forward the combined watermark downstream.
     for (const auto& e : graph_->outputs(node)) {
@@ -649,11 +591,12 @@ Status PipelineExecutor::AdvanceProcessingTime(Timestamp now) {
   for (NodeId id : order) {
     NodeMetrics* m = metrics_ != nullptr ? &node_metrics_[id] : nullptr;
     Operator* op = graph_->node(id);
-    RoutingCollector collector(this, id, m);
+    std::vector<StreamElement> emitted;
+    VectorCollector collector(&emitted);
     // Timing only: processing-time sweeps record no span of their own.
     NodeFrame frame(this, m, op, /*traced=*/false);
     CQ_RETURN_NOT_OK(op->OnProcessingTime(ContextFor(id), &collector));
-    CQ_RETURN_NOT_OK(collector.status());
+    CQ_RETURN_NOT_OK(ForwardRun(id, m, /*records_in=*/0, &emitted));
   }
   return Status::OK();
 }

@@ -13,16 +13,19 @@
 /// the systems the survey describes (Flink's consistent checkpoints).
 ///
 /// Delivery comes in two granularities. Push delivers one element at a
-/// time, depth-first, through Operator::ProcessElement — the reference
-/// path. PushBatch and PushColumnar deliver batch-at-a-time: the batch
-/// travels as columns through every operator with a columnar kernel, and
-/// wherever it cannot (no kernel, or a kernel declines a segment) the
-/// executor materialises rows and runs ProcessElement over each maximal
-/// record run, buffering the node's emissions and forwarding them
-/// downstream as one run (watermarks split runs). For linear pipelines the
-/// granularities are output-identical; on fan-out a batch is delivered
-/// whole to each downstream edge in edge order, whereas per-element
-/// delivery interleaves elements across edges.
+/// time through Operator::ProcessElement — the reference path. PushBatch
+/// and PushColumnar deliver batch-at-a-time: the batch travels as columns
+/// through every operator with a columnar kernel, and wherever it cannot
+/// (no kernel, or a kernel declines a segment) the executor materialises
+/// rows and runs ProcessElement over each maximal record run (watermarks
+/// split runs). On every path an operator call's emissions — a record
+/// run's ProcessElement calls, one OnWatermark, one OnProcessingTime — are
+/// buffered and forwarded downstream as one run, so a node opens one frame
+/// per run it receives, not one per element. For linear pipelines the
+/// granularities are output-identical; on fan-out each run is delivered
+/// whole to each downstream edge in edge order, so destinations see
+/// identical sequences but the interleaving *between* them follows runs,
+/// not elements.
 
 #include <map>
 #include <memory>
@@ -185,7 +188,6 @@ class PipelineExecutor : public ft::Checkpointable {
   static void ObserveSelectivity(NodeMetrics* m, size_t records_in,
                                  size_t records_out);
 
-  Status Deliver(NodeId node, size_t port, const StreamElement& element);
   Status DeliverWatermark(NodeId node, size_t port, Timestamp wm);
   /// DeliverWatermark with downstream forwarding optional: columnar chain
   /// nodes apply watermark bookkeeping locally (the batch itself carries
@@ -199,10 +201,11 @@ class PipelineExecutor : public ft::Checkpointable {
   /// emissions downstream, batch-at-a-time.
   Status DeliverBatch(NodeId node, size_t port, const StreamElement* data,
                       size_t count);
-  /// Charges a run's records_out and its out/in selectivity, then hands
-  /// the node's buffered emissions to every downstream edge.
+  /// Charges a run's records_out and its out/in selectivity (none for
+  /// `records_in` 0), hands the node's buffered emissions to every
+  /// downstream edge and clears them. Call inside the node's frame.
   Status ForwardRun(NodeId node, NodeMetrics* m, size_t records_in,
-                    const std::vector<StreamElement>& emitted);
+                    std::vector<StreamElement>* emitted);
   /// Columnar delivery: dispatches on the node's ColumnarSupport, falling
   /// back to row materialisation (ToRows + DeliverSequence) when the node
   /// cannot consume the batch vectorized.
@@ -221,8 +224,6 @@ class PipelineExecutor : public ft::Checkpointable {
   void RecomputeColumnarReach();
   OperatorContext ContextFor(NodeId node) const;
 
-  /// Collector that delivers each emission downstream as it is emitted.
-  class RoutingCollector;
   /// Scoped bookkeeping for one node invocation: self time into the node's
   /// latency histogram and, while tracing, an op span that downstream
   /// deliveries parent to. Every delivery function opens exactly one.

@@ -46,6 +46,15 @@ class ShardedFeed : public SubscriberFeed {
 
 }  // namespace
 
+Status ServiceBackend::PushBatch(const std::string& stream, StreamBatch batch) {
+  for (StreamElement& e : batch.TakeElements()) {
+    CQ_RETURN_NOT_OK(e.is_watermark()
+                         ? PushWatermark(stream, e.timestamp)
+                         : PushRecord(stream, std::move(e.tuple), e.timestamp));
+  }
+  return Status::OK();
+}
+
 // --- LocalBackend -----------------------------------------------------------
 
 Status LocalBackend::RegisterStream(const std::string& name, SchemaPtr schema,
@@ -78,6 +87,10 @@ Status LocalBackend::PushRecord(const std::string& stream, Tuple tuple,
 Status LocalBackend::PushWatermark(const std::string& stream,
                                    Timestamp watermark) {
   return svc_->PushWatermark(stream, watermark);
+}
+
+Status LocalBackend::PushBatch(const std::string& stream, StreamBatch batch) {
+  return svc_->PushBatch(stream, batch);
 }
 
 Result<SchemaPtr> LocalBackend::StreamSchema(const std::string& name) const {
@@ -125,6 +138,11 @@ Status ShardedBackend::PushRecord(const std::string& stream, Tuple tuple,
 Status ShardedBackend::PushWatermark(const std::string& stream,
                                      Timestamp watermark) {
   return svc_->PushWatermark(stream, watermark);
+}
+
+Status ShardedBackend::PushBatch(const std::string& stream,
+                                 StreamBatch batch) {
+  return svc_->PushBatch(stream, std::move(batch));
 }
 
 Result<SchemaPtr> ShardedBackend::StreamSchema(const std::string& name) const {

@@ -53,6 +53,11 @@ class ServiceBackend {
                             Timestamp ts) = 0;
   virtual Status PushWatermark(const std::string& stream,
                                Timestamp watermark) = 0;
+  /// \brief Pushes a run of `stream`'s records and watermarks in order.
+  /// The default pushes element by element through PushRecord and
+  /// PushWatermark and stops at the first error; backends override it to
+  /// hand the run to their service as one batch.
+  virtual Status PushBatch(const std::string& stream, StreamBatch batch);
 
   virtual Result<SchemaPtr> StreamSchema(const std::string& name) const = 0;
   /// \brief Resident state attributed to one query (tenant quota input).
@@ -75,6 +80,7 @@ class LocalBackend : public ServiceBackend {
   Status PushRecord(const std::string& stream, Tuple tuple,
                     Timestamp ts) override;
   Status PushWatermark(const std::string& stream, Timestamp watermark) override;
+  Status PushBatch(const std::string& stream, StreamBatch batch) override;
   Result<SchemaPtr> StreamSchema(const std::string& name) const override;
   Result<size_t> QueryStateBytes(cq::QueryId id) const override;
   std::vector<QueryInfo> ListQueries() const override;
@@ -100,6 +106,7 @@ class ShardedBackend : public ServiceBackend {
   Status PushRecord(const std::string& stream, Tuple tuple,
                     Timestamp ts) override;
   Status PushWatermark(const std::string& stream, Timestamp watermark) override;
+  Status PushBatch(const std::string& stream, StreamBatch batch) override;
   Result<SchemaPtr> StreamSchema(const std::string& name) const override;
   Result<size_t> QueryStateBytes(cq::QueryId id) const override;
   std::vector<QueryInfo> ListQueries() const override;

@@ -64,45 +64,53 @@ void TenantQuotas::ReleaseQuery(const std::string& tenant) {
   if (ts->active_queries > 0) ts->active_queries--;
 }
 
-bool TenantQuotas::TryConsumeEgress(const std::string& tenant, uint64_t bytes,
-                                    int64_t now_ns) {
+size_t TenantQuotas::AdmitEgress(const std::string& tenant,
+                                 const std::vector<uint64_t>& frame_bytes,
+                                 int64_t now_ns) {
+  if (frame_bytes.empty()) return 0;
   std::lock_guard<std::mutex> lock(mu_);
   TenantState* ts = StateLocked(tenant);
   const TenantQuota& q = QuotaOf(*ts);
+  uint64_t granted = 0;
+  size_t admitted = 0;
   if (q.egress_bytes_per_sec == 0) {
-    ts->egress_granted += bytes;
-    if (ts->egress_counter) ts->egress_counter->Increment(bytes);
-    return true;
+    for (uint64_t bytes : frame_bytes) granted += bytes;
+    admitted = frame_bytes.size();
+  } else {
+    const double burst = static_cast<double>(BurstOf(q));
+    if (!ts->bucket_started) {
+      // First consult: start full.
+      ts->tokens = burst;
+      ts->bucket_started = true;
+    } else if (now_ns > ts->refill_ns) {
+      const double elapsed_s =
+          static_cast<double>(now_ns - ts->refill_ns) / 1e9;
+      ts->tokens = std::min(
+          burst, ts->tokens + elapsed_s *
+                                  static_cast<double>(q.egress_bytes_per_sec));
+    }
+    ts->refill_ns = now_ns;
+    for (uint64_t bytes : frame_bytes) {
+      // A frame larger than the burst could never pass a plain
+      // `tokens >= bytes` gate — it would wedge its subscription's staged
+      // batch forever. Clamp the requirement to the bucket capacity (a full
+      // bucket admits any one frame) but charge the real size: tokens go
+      // negative and the tenant pays the debt across future refills,
+      // preserving the long-run rate.
+      const double need = std::min(static_cast<double>(bytes), burst);
+      if (ts->tokens < need) {
+        ts->throttled++;
+        if (ts->throttled_counter) ts->throttled_counter->Increment();
+        break;
+      }
+      ts->tokens -= static_cast<double>(bytes);
+      granted += bytes;
+      ++admitted;
+    }
   }
-  const double burst = static_cast<double>(BurstOf(q));
-  if (!ts->bucket_started) {
-    // First consult: start full.
-    ts->tokens = burst;
-    ts->bucket_started = true;
-  } else if (now_ns > ts->refill_ns) {
-    const double elapsed_s =
-        static_cast<double>(now_ns - ts->refill_ns) / 1e9;
-    ts->tokens = std::min(
-        burst, ts->tokens + elapsed_s *
-                                static_cast<double>(q.egress_bytes_per_sec));
-  }
-  ts->refill_ns = now_ns;
-  // A frame larger than the burst could never pass a plain `tokens >= bytes`
-  // gate — it would wedge its subscription's staged queue forever. Clamp the
-  // requirement to the bucket capacity (a full bucket admits any one frame)
-  // but charge the real size: tokens go negative and the tenant pays the
-  // debt across future refills, preserving the long-run rate.
-  const double need =
-      std::min(static_cast<double>(bytes), burst);
-  if (ts->tokens < need) {
-    ts->throttled++;
-    if (ts->throttled_counter) ts->throttled_counter->Increment();
-    return false;
-  }
-  ts->tokens -= static_cast<double>(bytes);
-  ts->egress_granted += bytes;
-  if (ts->egress_counter) ts->egress_counter->Increment(bytes);
-  return true;
+  ts->egress_granted += granted;
+  if (ts->egress_counter && granted > 0) ts->egress_counter->Increment(granted);
+  return admitted;
 }
 
 void TenantQuotas::NoteEgress(const std::string& tenant, uint64_t bytes) {
@@ -128,6 +136,12 @@ uint64_t TenantQuotas::ThrottledCount(const std::string& tenant) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tenants_.find(tenant);
   return it == tenants_.end() ? 0 : it->second.throttled;
+}
+
+double TenantQuotas::EgressTokens(const std::string& tenant) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = tenants_.find(tenant);
+  return it == tenants_.end() ? 0 : it->second.tokens;
 }
 
 }  // namespace cq::net

@@ -30,6 +30,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -70,15 +71,18 @@ class TenantQuotas {
   /// registration).
   void ReleaseQuery(const std::string& tenant);
 
-  /// \brief Egress gate: consumes `bytes` tokens if available. False means
-  /// the tenant is over its bandwidth budget right now — the caller leaves
-  /// the data queued and retries after refill. Unlimited tenants always
-  /// pass. A frame larger than the burst is admitted once the bucket is
-  /// full (the bucket goes negative and repays over future refills) so an
-  /// oversized frame is paced, never wedged. `now_ns` is a monotonic clock
-  /// reading.
-  bool TryConsumeEgress(const std::string& tenant, uint64_t bytes,
-                        int64_t now_ns);
+  /// \brief Egress gate for a run of frames of `frame_bytes` bytes each,
+  /// in order: refills the bucket to `now_ns` (a monotonic clock reading),
+  /// then consumes each frame's bytes while tokens last and returns how
+  /// many frames were admitted. The first frame refused counts one
+  /// throttle and ends the run — the caller leaves it and the rest queued
+  /// and retries after refill. Unlimited tenants admit every frame. A
+  /// frame larger than the burst is admitted once the bucket is full (the
+  /// bucket goes negative and repays over future refills) so an oversized
+  /// frame is paced, never wedged. One call takes the lock once; its
+  /// decisions equal those of one call per frame at the same `now_ns`.
+  size_t AdmitEgress(const std::string& tenant,
+                     const std::vector<uint64_t>& frame_bytes, int64_t now_ns);
 
   /// \brief Records `bytes` of egress without consulting (or charging) the
   /// token bucket — the graceful-drain path bypasses pacing but keeps the
@@ -91,8 +95,12 @@ class TenantQuotas {
   /// \brief Total egress bytes granted to `tenant`.
   uint64_t EgressGranted(const std::string& tenant) const;
 
-  /// \brief Times TryConsumeEgress refused `tenant` for lack of tokens.
+  /// \brief Times AdmitEgress refused `tenant` a frame for lack of tokens.
   uint64_t ThrottledCount(const std::string& tenant) const;
+
+  /// \brief `tenant`'s egress bucket level in bytes as of its last
+  /// consult (negative while repaying an oversized frame).
+  double EgressTokens(const std::string& tenant) const;
 
  private:
   struct TenantState {

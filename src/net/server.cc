@@ -12,6 +12,7 @@
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <utility>
 
 #include "obs/flight_recorder.h"
 
@@ -231,37 +232,42 @@ std::shared_ptr<const SubscriberMux::Rendered> SubscriberMux::Render(
   return it->second;
 }
 
-bool SubscriberMux::SendFrame(Entry* entry, std::string_view head,
-                              std::string_view body, int64_t now_ns,
-                              bool force) {
-  const size_t wire_bytes = sizeof(uint32_t) + head.size() + body.size();
-  if (config_.quotas != nullptr) {
-    if (force) {
-      // Drain path: the gate is bypassed but the per-tenant egress
-      // accounting stays truthful.
-      config_.quotas->NoteEgress(entry->tenant, wire_bytes);
-    } else if (!config_.quotas->TryConsumeEgress(entry->tenant, wire_bytes,
-                                                 now_ns)) {
-      return false;
-    }
+size_t SubscriberMux::Admit(const Entry& entry, int64_t now_ns, bool force) {
+  if (config_.quotas == nullptr) return frame_bytes_.size();
+  if (!force) {
+    return config_.quotas->AdmitEgress(entry.tenant, frame_bytes_, now_ns);
   }
+  // Drain path: the gate is bypassed but the per-tenant egress accounting
+  // stays truthful.
+  uint64_t total = 0;
+  for (uint64_t bytes : frame_bytes_) total += bytes;
+  config_.quotas->NoteEgress(entry.tenant, total);
+  return frame_bytes_.size();
+}
+
+void SubscriberMux::SendFrame(Entry* entry, std::string_view head,
+                              std::string_view body) {
   frame_.clear();
   AppendFrame(&frame_, head, body);
   entry->sink->Deliver(frame_);
   frames_delivered_++;
-  return true;
 }
 
 void SubscriberMux::DeliverEntry(Entry* entry, int64_t now_ns, bool force) {
   while (true) {
     if (entry->staged != nullptr) {
       const RenderedRecords& records = entry->staged->records;
-      for (; entry->next < records.size(); ++entry->next) {
-        if (!SendFrame(entry, entry->prefix, records.slice(entry->next),
-                       now_ns, force)) {
-          return;  // throttled: the rest stays staged for a later pump
-        }
+      frame_bytes_.clear();
+      for (size_t i = entry->next; i < records.size(); ++i) {
+        frame_bytes_.push_back(sizeof(uint32_t) + entry->prefix.size() +
+                               records.slice(i).size());
       }
+      const size_t end = entry->next + Admit(*entry, now_ns, force);
+      for (; entry->next < end; ++entry->next) {
+        SendFrame(entry, entry->prefix, records.slice(entry->next));
+      }
+      // Throttled: the rest stays staged for a later pump.
+      if (entry->next < records.size()) return;
       entry->staged.reset();
     }
     if (entry->closed_notified) return;
@@ -275,9 +281,13 @@ void SubscriberMux::DeliverEntry(Entry* entry, int64_t now_ns, bool force) {
       }
       continue;
     }
-    if (closed && SendFrame(entry, "CLOSED " + std::to_string(entry->sid),
-                            /*body=*/{}, now_ns, force)) {
-      entry->closed_notified = true;
+    if (closed) {
+      const std::string head = "CLOSED " + std::to_string(entry->sid);
+      frame_bytes_.assign(1, sizeof(uint32_t) + head.size());
+      if (Admit(*entry, now_ns, force) == 1) {
+        SendFrame(entry, head, /*body=*/{});
+        entry->closed_notified = true;
+      }
     }
     return;
   }
@@ -323,7 +333,6 @@ size_t SubscriberMux::Pump(int64_t now_ns) {
   EndPass();
 
   for (MuxSink* sink : victims) {
-    num_evicted_++;
     if (evicted_counter_) evicted_counter_->Increment();
     FlightRecorder::Global().Record("net", "evict", "slow consumer",
                                     static_cast<int64_t>(sink->PendingBytes()),
@@ -334,6 +343,8 @@ size_t SubscriberMux::Pump(int64_t now_ns) {
     } else {
       RemoveSink(sink);
     }
+    // Published after the removal, for readers on other threads.
+    num_evicted_.fetch_add(1, std::memory_order_release);
   }
   return frames_delivered_ - before;
 }
@@ -377,6 +388,19 @@ class Server::Connection : public MuxSink {
 };
 
 // --- Server -----------------------------------------------------------------
+
+struct Server::IngestFrame {
+  std::string stream;
+  SchemaPtr schema;  // a PUSH's stream schema; null for a WATERMARK
+  StreamElement element;
+};
+
+struct Server::IngestRun {
+  std::string stream;
+  SchemaPtr schema;  // `stream`'s schema once a PUSH looked it up
+  StreamBatch batch;
+  size_t frames = 0;
+};
 
 Server::Server(ServiceBackend* backend, ServerConfig config)
     : backend_(backend),
@@ -540,9 +564,11 @@ void Server::HandleConnEvent(int fd, uint32_t events) {
       }
     } else {
       std::string line;
+      IngestRun run;
       while (true) {
         auto next = conn->reader_.Next(&line);
         if (!next.ok()) {
+          FlushIngest(conn, &run);
           conn->wbuf_.Append(
               EncodeFrame("ERR " + next.status().ToString()));
           conn->close_after_flush_ = true;
@@ -550,6 +576,8 @@ void Server::HandleConnEvent(int fd, uint32_t events) {
         }
         if (!*next) break;
         if (frames_counter_) frames_counter_->Increment();
+        if (GatherIngest(conn, line, &run)) continue;
+        FlushIngest(conn, &run);
         if (line == "QUIT" || line.rfind("QUIT ", 0) == 0) {
           conn->wbuf_.Append(EncodeFrame("OK bye"));
           conn->close_after_flush_ = true;
@@ -557,6 +585,7 @@ void Server::HandleConnEvent(int fd, uint32_t events) {
         }
         conn->wbuf_.Append(EncodeFrame(DispatchCommand(conn, line)));
       }
+      FlushIngest(conn, &run);
       // Commands that pushed data should reach push-mode listeners without
       // waiting a tick.
       mux_.Pump(MonotonicNanos());
@@ -674,6 +703,69 @@ void Server::ContinueDrain() {
   FlightRecorder::Global().Record("net", "drain_complete", "",
                                   static_cast<int64_t>(pending), 0);
   loop_.Stop();
+}
+
+// --- Ingest runs ------------------------------------------------------------
+
+std::string Server::ParseIngest(bool push, const std::string& rest,
+                                const IngestRun& run, IngestFrame* out) {
+  const size_t s1 = rest.find(' ');
+  if (!push) {
+    if (s1 == std::string::npos) return "ERR want: WATERMARK stream ts";
+    auto ts = ParseTimestamp(rest.substr(s1 + 1));
+    if (!ts.ok()) return "ERR " + ts.status().ToString();
+    out->stream = rest.substr(0, s1);
+    out->element = StreamElement::Watermark(*ts);
+    return "";
+  }
+  const size_t s2 = s1 == std::string::npos ? s1 : rest.find(' ', s1 + 1);
+  if (s2 == std::string::npos) return "ERR want: PUSH stream ts v1,v2,...";
+  out->stream = rest.substr(0, s1);
+  auto ts = ParseTimestamp(rest.substr(s1 + 1, s2 - s1 - 1));
+  if (!ts.ok()) return "ERR " + ts.status().ToString();
+  if (run.schema != nullptr && run.stream == out->stream) {
+    out->schema = run.schema;
+  } else {
+    auto found = backend_->StreamSchema(out->stream);
+    if (!found.ok()) return "ERR " + found.status().ToString();
+    out->schema = std::move(*found);
+  }
+  auto tuple = ParseRow(rest.substr(s2 + 1), *out->schema);
+  if (!tuple.ok()) return "ERR " + tuple.status().ToString();
+  out->element = StreamElement::Record(std::move(*tuple), *ts);
+  return "";
+}
+
+bool Server::GatherIngest(Connection* conn, const std::string& line,
+                          IngestRun* run) {
+  const size_t space = line.find(' ');
+  const std::string_view cmd = std::string_view(line).substr(0, space);
+  if (cmd != "PUSH" && cmd != "WATERMARK") return false;
+  const std::string rest =
+      space == std::string::npos ? "" : line.substr(space + 1);
+  IngestFrame frame;
+  const std::string error = ParseIngest(cmd == "PUSH", rest, *run, &frame);
+  if (!error.empty()) {
+    // A malformed frame ends the run; its neighbours are still applied.
+    FlushIngest(conn, run);
+    conn->wbuf_.Append(EncodeFrame(error));
+    return true;
+  }
+  if (run->frames > 0 && run->stream != frame.stream) FlushIngest(conn, run);
+  if (run->frames == 0) run->stream = std::move(frame.stream);
+  if (frame.schema != nullptr) run->schema = std::move(frame.schema);
+  run->batch.Add(std::move(frame.element));
+  ++run->frames;
+  return true;
+}
+
+void Server::FlushIngest(Connection* conn, IngestRun* run) {
+  if (run->frames == 0) return;
+  Status st = backend_->PushBatch(run->stream, std::exchange(run->batch, {}));
+  const std::string reply = EncodeFrame(st.ok() ? "OK" : "ERR " + st.ToString());
+  for (size_t i = 0; i < run->frames; ++i) conn->wbuf_.Append(reply);
+  run->frames = 0;
+  run->schema.reset();
 }
 
 // --- Command dispatch -------------------------------------------------------
@@ -795,30 +887,6 @@ std::string Server::DispatchCommand(Connection* conn, const std::string& line) {
       conn->poll_subs_.erase(it);
     }
     return tail;
-  }
-  if (cmd == "PUSH") {
-    size_t s1 = rest.find(' ');
-    size_t s2 = rest.find(' ', s1 + 1);
-    if (s1 == std::string::npos || s2 == std::string::npos) {
-      return "ERR want: PUSH stream ts v1,v2,...";
-    }
-    std::string stream = rest.substr(0, s1);
-    auto ts = ParseTimestamp(rest.substr(s1 + 1, s2 - s1 - 1));
-    if (!ts.ok()) return "ERR " + ts.status().ToString();
-    auto schema = backend_->StreamSchema(stream);
-    if (!schema.ok()) return "ERR " + schema.status().ToString();
-    auto tuple = ParseRow(rest.substr(s2 + 1), **schema);
-    if (!tuple.ok()) return "ERR " + tuple.status().ToString();
-    Status st = backend_->PushRecord(stream, *tuple, *ts);
-    return st.ok() ? "OK" : "ERR " + st.ToString();
-  }
-  if (cmd == "WATERMARK") {
-    size_t s1 = rest.find(' ');
-    if (s1 == std::string::npos) return "ERR want: WATERMARK stream ts";
-    auto ts = ParseTimestamp(rest.substr(s1 + 1));
-    if (!ts.ok()) return "ERR " + ts.status().ToString();
-    Status st = backend_->PushWatermark(rest.substr(0, s1), *ts);
-    return st.ok() ? "OK" : "ERR " + st.ToString();
   }
   if (cmd == "STATS") {
     std::string out =

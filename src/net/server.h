@@ -32,14 +32,21 @@
 ///                          the optional key names shard-key columns
 ///                          (sharded backend only)
 ///
+/// Ingest runs: consecutive PUSH/WATERMARK frames for one stream in one
+/// read burst are pushed as one StreamBatch (ServiceBackend::PushBatch). A
+/// run ends at any other command, another stream, a frame that does not
+/// parse, or the end of the burst. Every frame still gets its own reply,
+/// in frame order: the run's status, or ERR for the malformed frame.
+///
 /// Egress sharing: every subscription of a query holds a handle on one
 /// result payload per watermark (StreamBatch copies share their rows). A
 /// pump pass renders each payload's " t=<ts> <tuple>" slices once; every
 /// feed that polled it writes its own "DATA <sid>" prefix ahead of the
 /// shared slice, so the bytes on the wire are those of a per-feed render.
 ///
-/// Quota semantics: a tenant over its egress budget is *throttled* — the mux
-/// stops copying its frames. An entry holds at most the one batch it was
+/// Quota semantics: the mux asks the tenant's egress gate once per staged
+/// batch how many of its frames fit. A tenant over its egress budget is
+/// *throttled* — the mux stops copying its frames. An entry holds at most the one batch it was
 /// delivering and polls its feed again only once that batch is out, so
 /// results back up in the bounded subscription channels (dropping there,
 /// counted per subscription, once credits run out), not in mux memory.
@@ -55,6 +62,7 @@
 /// drain hook (the embedding process checkpoints and publishes staged fence
 /// frames there), then close everything and return from Run().
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -134,7 +142,11 @@ class SubscriberMux {
 
   size_t NumEntries() const { return entries_.size(); }
   uint64_t frames_delivered() const { return frames_delivered_; }
-  uint64_t num_evicted() const { return num_evicted_; }
+  /// \brief Evictions so far. Safe to read from any thread: a count seen
+  /// here includes the eviction's entry removal.
+  uint64_t num_evicted() const {
+    return num_evicted_.load(std::memory_order_acquire);
+  }
 
  private:
   /// One polled batch's records rendered once per pass and shared by every
@@ -161,13 +173,14 @@ class SubscriberMux {
   /// until the feed runs dry (then "CLOSED <sid>" if it closed) or the
   /// egress gate refuses a frame. `force` bypasses the gate.
   void DeliverEntry(Entry* entry, int64_t now_ns, bool force);
+  /// How many of the frames sized in `frame_bytes_` the egress gate admits
+  /// for `entry`'s tenant: one quota call per batch, not per frame.
+  size_t Admit(const Entry& entry, int64_t now_ns, bool force);
   /// The rendering of `batch`, shared with every entry that polled the
   /// same payload earlier in this pass.
   std::shared_ptr<const Rendered> Render(StreamBatch batch);
-  /// One frame whose payload is `head` + `body`, through the egress gate.
-  /// False (nothing delivered) when the tenant is out of tokens.
-  bool SendFrame(Entry* entry, std::string_view head, std::string_view body,
-                 int64_t now_ns, bool force);
+  /// Delivers one admitted frame whose payload is `head` + `body`.
+  void SendFrame(Entry* entry, std::string_view head, std::string_view body);
   /// Ends a pass: retires entries whose CLOSED frame shipped and unpins
   /// the pass's renderings.
   void EndPass();
@@ -177,13 +190,14 @@ class SubscriberMux {
   std::map<MuxSink*, SinkState> sinks_;
   uint64_t next_entry_id_ = 1;
   uint64_t frames_delivered_ = 0;
-  uint64_t num_evicted_ = 0;
+  std::atomic<uint64_t> num_evicted_{0};
   std::function<void(MuxSink*)> evict_handler_;
   /// Renderings of this pass, keyed by payload address; each pins its
   /// batch, so an address cannot be reused while it is a key.
   std::unordered_map<const StreamElement*, std::shared_ptr<const Rendered>>
       render_cache_;
   std::string frame_;  // reused frame assembly buffer
+  std::vector<uint64_t> frame_bytes_;  // wire sizes of the frames to admit
   Gauge* subscribers_gauge_ = nullptr;
   Counter* evicted_counter_ = nullptr;
 };
@@ -266,6 +280,22 @@ class Server {
   /// deadline passes.
   void ContinueDrain();
 
+  /// One parsed PUSH or WATERMARK frame, and a run of consecutive ones for
+  /// one stream from one read burst (both defined in server.cc).
+  struct IngestFrame;
+  struct IngestRun;
+  /// Takes a PUSH or WATERMARK frame into `run`, first pushing the run when
+  /// the frame names another stream. A frame that does not parse pushes
+  /// the run and is answered ERR. False when `line` is another command.
+  bool GatherIngest(Connection* conn, const std::string& line, IngestRun* run);
+  /// Parses the arguments of a PUSH (`push`) or WATERMARK frame; a PUSH
+  /// reuses `run`'s schema when it names the run's stream. Returns the ERR
+  /// reply, or "" on success.
+  std::string ParseIngest(bool push, const std::string& rest,
+                          const IngestRun& run, IngestFrame* out);
+  /// Pushes `run` as one batch through ServiceBackend::PushBatch and
+  /// answers each of its frames, in order, with the run's status.
+  void FlushIngest(Connection* conn, IngestRun* run);
   std::string DispatchCommand(Connection* conn, const std::string& line);
   std::string HandleHttp(Connection* conn, const std::string& request);
 

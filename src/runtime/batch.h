@@ -72,6 +72,15 @@ class StreamBatch {
   }
   void reserve(size_t n) { MutableRows().reserve(n); }
 
+  /// \brief Moves the rows out and empties this handle. A payload shared
+  /// with other handles is copied first, so its siblings keep their rows.
+  std::vector<StreamElement> TakeElements() {
+    std::vector<StreamElement> out;
+    if (rows_ != nullptr) out = std::move(MutableRows());
+    clear();
+    return out;
+  }
+
   const StreamElement& at(size_t i) const { return elements()[i]; }
   const StreamElement& operator[](size_t i) const { return elements()[i]; }
 

@@ -4,12 +4,13 @@
 
 namespace cq::shard {
 
-std::vector<StreamBatch> SplitRowBatch(const StreamBatch& in,
+std::vector<StreamBatch> SplitRowBatch(StreamBatch in,
                                        const ShardPartitioner& part) {
   std::vector<StreamBatch> out(part.nshards());
-  for (const StreamElement& e : in.elements()) {
+  const TraceContext trace = in.trace();
+  for (StreamElement& e : in.TakeElements()) {
     if (e.is_record()) {
-      out[part.ShardOfTuple(e.tuple)].Add(e);
+      out[part.ShardOfTuple(e.tuple)].Add(std::move(e));
     } else {
       // Watermarks and barriers are broadcast: every shard's event-time
       // clock (and barrier alignment) must advance even when the records
@@ -17,7 +18,7 @@ std::vector<StreamBatch> SplitRowBatch(const StreamBatch& in,
       for (auto& shard_batch : out) shard_batch.Add(e);
     }
   }
-  for (auto& shard_batch : out) shard_batch.set_trace(in.trace());
+  for (auto& shard_batch : out) shard_batch.set_trace(trace);
   return out;
 }
 

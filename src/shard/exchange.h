@@ -38,8 +38,9 @@ namespace cq::shard {
 
 /// \brief Splits a row batch: records routed by key hash, watermarks and
 /// barriers broadcast to every shard. Output order per shard preserves the
-/// input interleaving.
-std::vector<StreamBatch> SplitRowBatch(const StreamBatch& in,
+/// input interleaving. Records move out of `in` when it is the sole owner
+/// of its rows.
+std::vector<StreamBatch> SplitRowBatch(StreamBatch in,
                                        const ShardPartitioner& part);
 
 /// \brief Splits a columnar batch: one hash pass assigns every selected row

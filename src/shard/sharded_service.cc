@@ -218,14 +218,15 @@ Status ShardedQueryService::Push(const std::string& stream,
 }
 
 Status ShardedQueryService::PushBatch(const std::string& stream,
-                                      const StreamBatch& batch) {
+                                      StreamBatch batch) {
   if (batch.columnar() != nullptr) {
     return Status::InvalidArgument(
         "service ingest is row-based; push columnar batches through a "
         "ShardedPipeline");
   }
   CQ_ASSIGN_OR_RETURN(const StreamInfo* info, FindStream(stream));
-  std::vector<StreamBatch> splits = SplitRowBatch(batch, info->partitioner);
+  std::vector<StreamBatch> splits =
+      SplitRowBatch(std::move(batch), info->partitioner);
   for (size_t r = 0; r < nshards_; ++r) {
     if (splits[r].empty()) continue;
     const size_t records = splits[r].num_records();

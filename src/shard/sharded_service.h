@@ -92,8 +92,9 @@ class ShardedQueryService : public ft::Checkpointable,
   Status PushWatermark(const std::string& stream, Timestamp watermark);
   Status Push(const std::string& stream, const StreamElement& element);
   /// \brief Splits the batch with the stream's partitioner (records routed,
-  /// watermarks broadcast) and pushes each replica's slice.
-  Status PushBatch(const std::string& stream, const StreamBatch& batch);
+  /// watermarks broadcast) and pushes each replica's slice. Records move
+  /// into the slices when `batch` is the sole owner of its rows.
+  Status PushBatch(const std::string& stream, StreamBatch batch);
 
   // --- ft::Checkpointable -------------------------------------------------
 

@@ -1,7 +1,7 @@
 #include "types/value.h"
 
+#include <charconv>
 #include <cmath>
-#include <sstream>
 
 namespace cq {
 
@@ -85,9 +85,12 @@ std::string Value::ToString() const {
     case ValueType::kInt64:
       return std::to_string(int64_value());
     case ValueType::kDouble: {
-      std::ostringstream ss;
-      ss << double_value();
-      return ss.str();
+      // Shortest text that parses back to the same double: 1234567.89 stays
+      // "1234567.89" on the wire, not a 6-digit "1.23457e+06".
+      char buf[32];
+      auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), double_value());
+      (void)ec;  // 32 bytes hold any double's shortest form
+      return std::string(buf, end);
     }
     case ValueType::kString:
       return "'" + string_value() + "'";

@@ -498,6 +498,68 @@ TEST(MetricsTest, NoRegistryPathStillWorks) {
   EXPECT_EQ(exec.DumpMetrics(), "");
 }
 
+// A watermark that releases N rows sends them downstream as one run: each
+// child of the firing node opens one frame for the run and one for the
+// watermark, not one per row, and still sees the per-element sequence.
+TEST(MetricsTest, WatermarkReleaseReachesEachChildAsOneRun) {
+  constexpr int64_t kRows = 20;
+  // Reference: the same input through a linear src -> window -> sink chain.
+  BoundedStream reference;
+  {
+    NodeId src;
+    WindowedAggregateOperator* op;
+    PipelineExecutor exec(
+        WindowedCountGraph(&reference, CountPerKeyConfig(), &src, &op));
+    for (int64_t k = 0; k < kRows; ++k) {
+      ASSERT_TRUE(exec.PushRecord(src, T2(k, 0), k % 10).ok());
+    }
+    ASSERT_TRUE(exec.PushWatermark(src, 10).ok());
+  }
+  ASSERT_EQ(reference.num_records(), static_cast<size_t>(kRows));
+
+  auto g = std::make_unique<DataflowGraph>();
+  NodeId src = g->AddNode(std::make_unique<PassThroughOperator>("src"));
+  NodeId win = g->AddNode(
+      std::make_unique<WindowedAggregateOperator>("window", CountPerKeyConfig()));
+  BoundedStream left, right;
+  NodeId sink_l = g->AddNode(std::make_unique<CollectSinkOperator>("l", &left));
+  NodeId sink_r =
+      g->AddNode(std::make_unique<CollectSinkOperator>("r", &right));
+  ASSERT_TRUE(g->Connect(src, win).ok());
+  ASSERT_TRUE(g->Connect(win, sink_l).ok());
+  ASSERT_TRUE(g->Connect(win, sink_r).ok());
+  PipelineExecutor exec(std::move(g));
+  MetricsRegistry reg;
+  exec.AttachMetrics(&reg);
+  Histogram* frames_l = reg.GetHistogram(
+      "cq_dataflow_process_latency_us",
+      {{"node", "l"}, {"id", std::to_string(sink_l)}});
+  Histogram* frames_r = reg.GetHistogram(
+      "cq_dataflow_process_latency_us",
+      {{"node", "r"}, {"id", std::to_string(sink_r)}});
+
+  for (int64_t k = 0; k < kRows; ++k) {
+    ASSERT_TRUE(exec.PushRecord(src, T2(k, 0), k % 10).ok());
+  }
+  ASSERT_EQ(frames_l->count(), 0u);  // nothing released yet
+  ASSERT_TRUE(exec.PushWatermark(src, 10).ok());
+  // One frame for the run of kRows released rows, one for the watermark.
+  EXPECT_EQ(frames_l->count(), 2u);
+  EXPECT_EQ(frames_r->count(), 2u);
+  EXPECT_EQ(reg.GetCounter("cq_dataflow_records_in_total",
+                           {{"node", "l"}, {"id", std::to_string(sink_l)}})
+                ->value(),
+            static_cast<uint64_t>(kRows));
+
+  for (const BoundedStream* out : {&left, &right}) {
+    ASSERT_EQ(out->size(), reference.size());
+    for (size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_EQ(out->at(i).tuple, reference.at(i).tuple) << i;
+      EXPECT_EQ(out->at(i).timestamp, reference.at(i).timestamp) << i;
+    }
+  }
+}
+
 TEST(ProcessingTimeTest, TimersFireViaAdvance) {
   WindowedAggregateConfig cfg = CountPerKeyConfig();
   cfg.trigger = TriggerFactory::AfterProcessingTime(100);

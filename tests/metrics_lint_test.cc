@@ -214,8 +214,8 @@ TEST(MetricsLintTest, NetFrontDoorExpositionIsLintClean) {
   // granted and one throttled egress consult.
   ASSERT_TRUE(quotas.AdmitQuery("acme", 0).ok());
   EXPECT_FALSE(quotas.AdmitQuery("acme", 0).ok());
-  EXPECT_TRUE(quotas.TryConsumeEgress("acme", 64, 1));
-  EXPECT_FALSE(quotas.TryConsumeEgress("acme", 64, 2));
+  EXPECT_EQ(quotas.AdmitEgress("acme", {64}, 1), 1u);
+  EXPECT_EQ(quotas.AdmitEgress("acme", {64}, 2), 0u);
 
   EXPECT_TRUE(registry.LintProblems().empty())
       << registry.LintProblems().front();

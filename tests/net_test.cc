@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -174,17 +175,17 @@ TEST(TenantQuotasTest, TokenBucketRefillsOnManualClock) {
   quotas.SetQuota("acme",
                   {.egress_bytes_per_sec = 1000, .egress_burst_bytes = 500});
   // The bucket starts full (one burst) and runs dry.
-  EXPECT_TRUE(quotas.TryConsumeEgress("acme", 500, 0));
-  EXPECT_FALSE(quotas.TryConsumeEgress("acme", 1, 0));
+  EXPECT_EQ(quotas.AdmitEgress("acme", {500}, 0), 1u);
+  EXPECT_EQ(quotas.AdmitEgress("acme", {1}, 0), 0u);
   EXPECT_EQ(quotas.ThrottledCount("acme"), 1u);
   // 100 ms at 1000 B/s refills 100 tokens — not 101.
   const int64_t t1 = 100'000'000;
-  EXPECT_TRUE(quotas.TryConsumeEgress("acme", 100, t1));
-  EXPECT_FALSE(quotas.TryConsumeEgress("acme", 1, t1));
+  EXPECT_EQ(quotas.AdmitEgress("acme", {100}, t1), 1u);
+  EXPECT_EQ(quotas.AdmitEgress("acme", {1}, t1), 0u);
   // Refill clamps at the burst no matter how long the tenant idles.
   const int64_t t2 = t1 + 3'600'000'000'000;
-  EXPECT_TRUE(quotas.TryConsumeEgress("acme", 500, t2));
-  EXPECT_FALSE(quotas.TryConsumeEgress("acme", 1, t2));
+  EXPECT_EQ(quotas.AdmitEgress("acme", {500}, t2), 1u);
+  EXPECT_EQ(quotas.AdmitEgress("acme", {1}, t2), 0u);
   EXPECT_EQ(quotas.EgressGranted("acme"), 1100u);
 }
 
@@ -205,25 +206,61 @@ TEST(TenantQuotasTest, FrameLargerThanBurstIsPacedNotWedged) {
   // A 1 KiB frame exceeds the bucket capacity. A plain `tokens >= bytes`
   // gate could never admit it; the clamped gate lets it through on a full
   // bucket and puts the bucket into debt.
-  EXPECT_TRUE(quotas.TryConsumeEgress("tiny", 1024, 0));
+  EXPECT_EQ(quotas.AdmitEgress("tiny", {1024}, 0), 1u);
   // In debt: nothing passes until the full cost has been repaid.
-  EXPECT_FALSE(quotas.TryConsumeEgress("tiny", 1, 0));
+  EXPECT_EQ(quotas.AdmitEgress("tiny", {1}, 0), 0u);
   const int64_t sec = 1'000'000'000;
-  EXPECT_FALSE(quotas.TryConsumeEgress("tiny", 1024, 1 * sec));
+  EXPECT_EQ(quotas.AdmitEgress("tiny", {1024}, 1 * sec), 0u);
   // After two seconds the debt is repaid and the bucket is full again —
   // the next oversized frame passes. Long-run rate: 2 KiB over 4 s = 512 B/s.
-  EXPECT_TRUE(quotas.TryConsumeEgress("tiny", 1024, 2 * sec));
-  EXPECT_FALSE(quotas.TryConsumeEgress("tiny", 1024, 3 * sec));
-  EXPECT_TRUE(quotas.TryConsumeEgress("tiny", 1024, 4 * sec));
+  EXPECT_EQ(quotas.AdmitEgress("tiny", {1024}, 2 * sec), 1u);
+  EXPECT_EQ(quotas.AdmitEgress("tiny", {1024}, 3 * sec), 0u);
+  EXPECT_EQ(quotas.AdmitEgress("tiny", {1024}, 4 * sec), 1u);
   EXPECT_EQ(quotas.EgressGranted("tiny"), 3072u);
 }
 
 TEST(TenantQuotasTest, UnlimitedTenantNeverThrottles) {
   TenantQuotas quotas;
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(quotas.TryConsumeEgress("free", 1 << 20, 0));
+    EXPECT_EQ(quotas.AdmitEgress("free", {1 << 20}, 0), 1u);
   }
   EXPECT_EQ(quotas.ThrottledCount("free"), 0u);
+}
+
+// The mux asks the gate once per staged batch. Its decisions must be those
+// of one call per frame at the same instant, stopping at the first refusal.
+TEST(TenantQuotasTest, BatchGateMatchesFrameByFrameGate) {
+  constexpr uint64_t kBurst = 600;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937_64 rng(seed);
+    TenantQuotas batched, single;
+    const TenantQuota quota{.egress_bytes_per_sec = 1000,
+                            .egress_burst_bytes = kBurst};
+    batched.SetQuota("t", quota);
+    single.SetQuota("t", quota);
+    int64_t now = 0;
+    for (int pass = 0; pass < 200; ++pass) {
+      // Same-instant passes too: the refill must not run twice.
+      now += static_cast<int64_t>(rng() % 3) * 50'000'000;
+      std::vector<uint64_t> sizes(1 + rng() % 12);
+      for (uint64_t& bytes : sizes) {
+        // Mostly small frames, some larger than the whole burst.
+        bytes = rng() % 8 == 0 ? kBurst + 1 + rng() % 900 : 1 + rng() % 150;
+      }
+      const size_t admitted = batched.AdmitEgress("t", sizes, now);
+      size_t one_by_one = 0;
+      while (one_by_one < sizes.size() &&
+             single.AdmitEgress("t", {sizes[one_by_one]}, now) == 1) {
+        ++one_by_one;
+      }
+      ASSERT_EQ(admitted, one_by_one) << "seed " << seed << " pass " << pass;
+      ASSERT_EQ(batched.EgressTokens("t"), single.EgressTokens("t"))
+          << "seed " << seed << " pass " << pass;
+      ASSERT_EQ(batched.ThrottledCount("t"), single.ThrottledCount("t"));
+      ASSERT_EQ(batched.EgressGranted("t"), single.EgressGranted("t"));
+    }
+    EXPECT_GT(batched.ThrottledCount("t"), 0u) << "seed " << seed;
+  }
 }
 
 // --- Event loop -------------------------------------------------------------
@@ -1280,6 +1317,212 @@ TEST(NetServerTest, PollAndPushFramesMatchGoldenRendering) {
   }
   want_push.push_back("CLOSED 2");
   EXPECT_EQ(pushed, want_push);
+}
+
+
+TEST(NetServerTest, DoublesReachSubscribersAtFullPrecision) {
+  ServerRig rig;
+  TestClient client(rig.server->port());
+  ASSERT_EQ(client.Cmd("STREAM px sym:string,v:double"), "OK");
+  ASSERT_EQ(client.Cmd("REGISTER SELECT sym, v FROM px [Range 100]"),
+            "OK id=1");
+  ASSERT_EQ(client.Cmd("SUBSCRIBE 1"), "OK sub=1");
+  ASSERT_EQ(client.Cmd("LISTEN 1"), "OK sub=2 push");
+  ASSERT_EQ(client.Cmd("PUSH px 1 A,1234567.89"), "OK");
+  ASSERT_EQ(client.Cmd("PUSH px 2 B,0.1234567891"), "OK");
+  ASSERT_EQ(client.Cmd("WATERMARK px 2"), "OK");
+  // The pushed frames were written during the WATERMARK's wakeup, ahead
+  // of the POLL reply.
+  client.Send("POLL 1");
+  std::vector<std::string> frames;
+  for (int i = 0; i < 5; ++i) frames.push_back(client.Recv());
+  EXPECT_EQ(frames, (std::vector<std::string>{
+                        "DATA 2 t=2 ('A', 1234567.89)",
+                        "DATA 2 t=2 ('B', 0.1234567891)",
+                        "DATA t=2 ('A', 1234567.89)",
+                        "DATA t=2 ('B', 0.1234567891)", "OK n=2"}));
+}
+
+// --- Ingest runs --------------------------------------------------------------
+
+/// Forwards to a real backend and logs every ingest call it receives.
+class RecordingBackend : public ServiceBackend {
+ public:
+  explicit RecordingBackend(ServiceBackend* inner) : inner_(inner) {}
+
+  Status RegisterStream(const std::string& name, SchemaPtr schema,
+                        std::vector<size_t> shard_key) override {
+    return inner_->RegisterStream(name, std::move(schema),
+                                  std::move(shard_key));
+  }
+  Result<cq::QueryId> RegisterQuery(const std::string& sql) override {
+    return inner_->RegisterQuery(sql);
+  }
+  Status DropQuery(cq::QueryId id) override { return inner_->DropQuery(id); }
+  Result<std::unique_ptr<SubscriberFeed>> Subscribe(cq::QueryId id) override {
+    return inner_->Subscribe(id);
+  }
+  Status PushRecord(const std::string& stream, Tuple tuple,
+                    Timestamp ts) override {
+    calls.push_back("record " + stream);
+    return inner_->PushRecord(stream, std::move(tuple), ts);
+  }
+  Status PushWatermark(const std::string& stream, Timestamp wm) override {
+    calls.push_back("watermark " + stream);
+    return inner_->PushWatermark(stream, wm);
+  }
+  Status PushBatch(const std::string& stream, StreamBatch batch) override {
+    calls.push_back("batch " + stream + " " +
+                    std::to_string(batch.num_records()) + "+" +
+                    std::to_string(batch.size() - batch.num_records()));
+    return inner_->PushBatch(stream, std::move(batch));
+  }
+  Result<SchemaPtr> StreamSchema(const std::string& name) const override {
+    return inner_->StreamSchema(name);
+  }
+  Result<size_t> QueryStateBytes(cq::QueryId id) const override {
+    return inner_->QueryStateBytes(id);
+  }
+  std::vector<QueryInfo> ListQueries() const override {
+    return inner_->ListQueries();
+  }
+  size_t NumOperators() const override { return inner_->NumOperators(); }
+  size_t NumActiveQueries() const override {
+    return inner_->NumActiveQueries();
+  }
+
+  std::vector<std::string> calls;  // read only after the server stopped
+
+ private:
+  ServiceBackend* inner_;
+};
+
+struct IngestOutcome {
+  std::vector<std::string> replies;
+  std::vector<std::string> listened;  // LISTEN frames up to both CLOSEDs
+  std::vector<std::string> calls;
+};
+
+/// Two streams, one query and one LISTEN feed on each; then `frames` from
+/// the producer connection, all in one send or one send per frame (each
+/// awaiting its reply), then both queries dropped.
+IngestOutcome RunIngestScript(bool sharded, bool one_send,
+                              const std::vector<std::string>& frames) {
+  std::unique_ptr<QueryService> local;
+  std::unique_ptr<shard::ShardedQueryService> shards;
+  std::unique_ptr<ServiceBackend> inner;
+  if (sharded) {
+    shards = std::make_unique<shard::ShardedQueryService>(2);
+    inner = std::make_unique<ShardedBackend>(shards.get());
+  } else {
+    local = std::make_unique<QueryService>(Catalog{}, ServiceConfig{});
+    inner = std::make_unique<LocalBackend>(local.get());
+  }
+  RecordingBackend backend(inner.get());
+  ServerConfig config;
+  config.tick_ms = 1;
+  Server server(&backend, config);
+  EXPECT_TRUE(server.Init().ok());
+  std::thread loop([&] { server.Run(); });
+
+  IngestOutcome out;
+  {
+    TestClient producer(server.port());
+    TestClient listener(server.port());
+    const std::string key = sharded ? " key=sym" : "";
+    for (const char* stream : {"a", "b"}) {
+      EXPECT_EQ(producer.Cmd(std::string("STREAM ") + stream +
+                             " sym:string,qty:int64,px:double" + key),
+                "OK");
+      EXPECT_EQ(producer
+                    .Cmd(std::string("REGISTER SELECT sym, px FROM ") +
+                         stream + " [Range 100] WHERE qty > 0")
+                    .rfind("OK id=", 0),
+                0u);
+    }
+    EXPECT_EQ(listener.Cmd("LISTEN 1"), "OK sub=1 push");
+    EXPECT_EQ(listener.Cmd("LISTEN 2"), "OK sub=2 push");
+
+    if (one_send) {
+      std::string wire;
+      for (const std::string& f : frames) wire += EncodeFrame(f);
+      EXPECT_EQ(write(producer.fd(), wire.data(), wire.size()),
+                static_cast<ssize_t>(wire.size()));
+      for (size_t i = 0; i < frames.size(); ++i) {
+        out.replies.push_back(producer.Recv());
+      }
+    } else {
+      for (const std::string& f : frames) out.replies.push_back(producer.Cmd(f));
+    }
+    EXPECT_EQ(producer.Cmd("DROP 1"), "OK");
+    EXPECT_EQ(producer.Cmd("DROP 2"), "OK");
+    int closed = 0;
+    while (closed < 2) {
+      std::string frame = listener.Recv();
+      if (frame == "<eof>") break;
+      if (frame.rfind("CLOSED ", 0) == 0) ++closed;
+      out.listened.push_back(frame);
+    }
+  }
+  server.ShutdownAsync();
+  loop.join();
+  out.calls = backend.calls;
+  return out;
+}
+
+/// PUSH, a malformed PUSH, PUSH, WATERMARK, STATS, then PUSH/WATERMARK on a
+/// second stream.
+std::vector<std::string> MixedIngestFrames() {
+  return {"PUSH a 1 ACME,3,1.5",    "PUSH a 2 ACME,zz,2.5",
+          "PUSH a 3 Big Co,4,0.25", "WATERMARK a 5",
+          "STATS",                  "PUSH b 4 Zed,2,1234567.89",
+          "WATERMARK b 6"};
+}
+
+void CheckIngestRunsCoalesce(bool sharded) {
+  const std::vector<std::string> frames = MixedIngestFrames();
+  IngestOutcome burst = RunIngestScript(sharded, /*one_send=*/true, frames);
+  IngestOutcome each = RunIngestScript(sharded, /*one_send=*/false, frames);
+
+  // One reply per frame, in frame order; the malformed frame alone fails.
+  ASSERT_EQ(burst.replies.size(), frames.size());
+  EXPECT_EQ(burst.replies[0], "OK");
+  EXPECT_EQ(burst.replies[1].rfind("ERR ", 0), 0u) << burst.replies[1];
+  EXPECT_EQ(burst.replies[2], "OK");
+  EXPECT_EQ(burst.replies[3], "OK");
+  EXPECT_EQ(burst.replies[4].rfind("OK operators=", 0), 0u)
+      << burst.replies[4];
+  EXPECT_EQ(burst.replies[5], "OK");
+  EXPECT_EQ(burst.replies[6], "OK");
+  EXPECT_EQ(burst.replies, each.replies);
+
+  // The malformed frame's neighbours were applied, and the subscriber
+  // bytes equal those of the same frames sent one at a time.
+  // Results carry the watermark that released them.
+  std::vector<std::string> want = {"DATA 1 t=5 ('ACME', 1.5)",
+                                   "DATA 1 t=5 ('Big Co', 0.25)",
+                                   "DATA 2 t=6 ('Zed', 1234567.89)"};
+  for (const std::string& frame : want) {
+    EXPECT_NE(std::find(burst.listened.begin(), burst.listened.end(), frame),
+              burst.listened.end())
+        << frame;
+  }
+  EXPECT_EQ(burst.listened.size(), want.size() + 2);  // + 2 CLOSED
+  EXPECT_EQ(burst.listened, each.listened);
+
+  // One PushBatch per run: the malformed frame, STATS and the stream
+  // change each end a run.
+  EXPECT_EQ(burst.calls, (std::vector<std::string>{
+                             "batch a 1+0", "batch a 1+1", "batch b 1+1"}));
+  EXPECT_EQ(each.calls.size(), 5u);  // one per well-formed frame
+}
+
+TEST(NetServerTest, IngestBurstCoalescesIntoRunsOnLocalBackend) {
+  CheckIngestRunsCoalesce(/*sharded=*/false);
+}
+
+TEST(NetServerTest, IngestBurstCoalescesIntoRunsOnShardedBackend) {
+  CheckIngestRunsCoalesce(/*sharded=*/true);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <charconv>
+
 #include "types/schema.h"
 #include "types/serde.h"
 #include "types/tuple.h"
@@ -43,6 +45,21 @@ TEST(ValueTest, ToStringRendering) {
   EXPECT_EQ(Value(true).ToString(), "true");
   EXPECT_EQ(Value(int64_t{-3}).ToString(), "-3");
   EXPECT_EQ(Value("hi").ToString(), "'hi'");
+}
+
+TEST(ValueTest, DoubleRendersShortestRoundTripText) {
+  EXPECT_EQ(Value(1234567.89).ToString(), "1234567.89");
+  EXPECT_EQ(Value(0.1234567891).ToString(), "0.1234567891");
+  EXPECT_EQ(Value(2.5).ToString(), "2.5");
+  EXPECT_EQ(Value(-3.0).ToString(), "-3");
+  for (double d : {1234567.89, 0.1234567891, 1e20, -0.25, 1.0 / 3.0, 5e-324}) {
+    const std::string text = Value(d).ToString();
+    double back = 0;
+    auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(),
+                                     back);
+    EXPECT_TRUE(ec == std::errc() && end == text.data() + text.size()) << text;
+    EXPECT_EQ(back, d) << text;
+  }
 }
 
 TEST(ValueTest, ArithmeticWithPromotion) {
