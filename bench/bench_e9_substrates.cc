@@ -226,10 +226,10 @@ BENCHMARK(BM_PipelineDelivery)->Arg(0)->Arg(8)->Arg(64)->Arg(256);
 /// engage. range(0): 0 = the per-element reference (each record pushed on
 /// its own through Push; labelled "row"); 1 = the PushBatch shim (row
 /// input, converted to columns at the source); 2 = native columnar input
-/// (pre-built ColumnarBatch, as delivered by
-/// BrokerSourceDriver::PollColumnarBatch). Output is byte-identical across
-/// the three — the row/native gap is the vectorisation win, the shim/native
-/// gap is the row->column conversion cost at the boundary.
+/// (a pre-built ColumnarBatch pushed through PushColumnar). Output is
+/// byte-identical across the three — the row/native gap is the
+/// vectorisation win, the shim/native gap is the row->column conversion
+/// cost at the boundary.
 void BM_ColumnarPipeline(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
   auto g = std::make_unique<DataflowGraph>();

@@ -830,12 +830,22 @@ Status IncrementalPlanExecutor::RestoreState(std::string_view snapshot) {
     CQ_ASSIGN_OR_RETURN(uint32_t idx, DecodeU32(&in));
     CQ_ASSIGN_OR_RETURN(const RelOp* op, node_at(idx));
     AggIndex& ai = agg_indexes_[op];
+    // The live path sizes both per-group vectors to the node's aggregate
+    // count; any other length is corrupt and must not drive an allocation.
+    const size_t naggs = op->aggs().size();
+    auto check_len = [&](uint32_t n, const char* what) -> Status {
+      if (n == naggs) return Status::OK();
+      return Status::IOError("plan snapshot aggregation group has " +
+                             std::to_string(n) + " " + what + " states for " +
+                             std::to_string(naggs) + " aggregates");
+    };
     CQ_ASSIGN_OR_RETURN(uint32_t ngroups, DecodeU32(&in));
     for (uint32_t gi = 0; gi < ngroups; ++gi) {
       CQ_ASSIGN_OR_RETURN(Tuple key, DecodeTuple(&in));
       GroupState& g = ai.groups[key];
       CQ_ASSIGN_OR_RETURN(g.rows, DecodeI64(&in));
       CQ_ASSIGN_OR_RETURN(uint32_t nrun, DecodeU32(&in));
+      CQ_RETURN_NOT_OK(check_len(nrun, "running"));
       g.running.resize(nrun);
       for (AggState& a : g.running) {
         CQ_ASSIGN_OR_RETURN(a.count, DecodeI64(&in));
@@ -844,6 +854,7 @@ Status IncrementalPlanExecutor::RestoreState(std::string_view snapshot) {
         CQ_ASSIGN_OR_RETURN(a.max, DecodeValue(&in));
       }
       CQ_ASSIGN_OR_RETURN(uint32_t nord, DecodeU32(&in));
+      CQ_RETURN_NOT_OK(check_len(nord, "ordered"));
       g.ordered.resize(nord);
       for (auto& multiset : g.ordered) {
         CQ_ASSIGN_OR_RETURN(uint32_t n, DecodeU32(&in));

@@ -671,9 +671,4 @@ Timestamp PipelineExecutor::NodeWatermark(NodeId id) const {
   return node_watermarks_[id];
 }
 
-double PipelineExecutor::NodeSelectivityEwma(NodeId id) const {
-  if (id >= node_metrics_.size()) return -1.0;
-  return node_metrics_[id].selectivity_ewma;
-}
-
 }  // namespace cq

@@ -121,11 +121,6 @@ class PipelineExecutor : public ft::Checkpointable {
   /// \brief Current combined watermark of a node.
   Timestamp NodeWatermark(NodeId id) const;
 
-  /// \brief Observed output/input selectivity EWMA of a node, or a negative
-  /// value when unobserved (no metrics registry attached, or no deliveries
-  /// yet). The service samples this to refresh optimizer selectivity hints.
-  double NodeSelectivityEwma(NodeId id) const;
-
   /// \brief Attaches a metrics registry: creates per-node instruments
   /// (`cq_dataflow_records_in_total{node=...,id=...}`, records_out,
   /// watermarks_in, a process-latency histogram, a selectivity EWMA gauge,

@@ -24,25 +24,6 @@ Status DataflowGraph::Connect(NodeId from, NodeId to, size_t to_port) {
   return Status::OK();
 }
 
-Status DataflowGraph::Disconnect(NodeId from, NodeId to, size_t to_port) {
-  if (!is_live(from) || !is_live(to)) {
-    return Status::InvalidArgument(
-        "Disconnect: node id out of range or removed");
-  }
-  auto& edges = nodes_[from].outputs;
-  auto it = std::find_if(edges.begin(), edges.end(), [&](const Edge& e) {
-    return e.to == to && e.port == to_port;
-  });
-  if (it == edges.end()) {
-    return Status::NotFound("Disconnect: no edge " + std::to_string(from) +
-                            " -> " + std::to_string(to) + ":" +
-                            std::to_string(to_port));
-  }
-  edges.erase(it);
-  nodes_[to].num_inputs--;
-  return Status::OK();
-}
-
 Result<std::unique_ptr<Operator>> DataflowGraph::RemoveNode(NodeId id) {
   if (!is_live(id)) {
     return Status::InvalidArgument("RemoveNode: node id out of range or "

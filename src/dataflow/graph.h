@@ -7,7 +7,7 @@
 ///
 /// Graphs are mutable while live: the continuous-query service splices new
 /// query subgraphs into a running dataflow (AddNode/Connect) and tears them
-/// down again (Disconnect/RemoveNode). Removal tombstones the node — ids
+/// down again (RemoveNode). Removal tombstones the node — ids
 /// are never reused, so NodeId remains a stable handle — and erases every
 /// edge touching it. Validate() checks the invariants dynamic mutation can
 /// break: acyclicity, no dangling edges, port arities, and input-count
@@ -32,9 +32,6 @@ class DataflowGraph {
 
   /// \brief Wires `from`'s output into `to`'s input port `to_port`.
   Status Connect(NodeId from, NodeId to, size_t to_port = 0);
-
-  /// \brief Removes one `from` -> `to`:`to_port` edge; NotFound if absent.
-  Status Disconnect(NodeId from, NodeId to, size_t to_port = 0);
 
   /// \brief Removes a node from a (possibly live) graph: erases every edge
   /// into and out of it, then tombstones the slot. The node id is never

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "types/column.h"
 #include "types/serde.h"
 
 namespace cq::ft {
@@ -89,28 +88,6 @@ inline Result<std::vector<std::string>> DecodeBlobList(std::string_view* in) {
     blobs.push_back(std::move(b));
   }
   return blobs;
-}
-
-/// \brief Appends a column-set image: [u32 n][column]*n — the columnar
-/// analogue of EncodeBlobList. State that lives as typed column vectors
-/// (columnar batches in flight at a barrier, buffered columnar segments)
-/// checkpoints through this instead of re-materialising rows first.
-inline void EncodeColumnSetImage(const std::vector<Column>& columns,
-                                 std::string* out) {
-  EncodeU32(static_cast<uint32_t>(columns.size()), out);
-  for (const auto& c : columns) EncodeColumn(c, out);
-}
-
-/// \brief Decodes a column-set image from the front of `in`, advancing it.
-inline Result<std::vector<Column>> DecodeColumnSetImage(std::string_view* in) {
-  CQ_ASSIGN_OR_RETURN(uint32_t n, DecodeU32(in));
-  std::vector<Column> columns;
-  columns.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    CQ_ASSIGN_OR_RETURN(Column c, DecodeColumn(in));
-    columns.push_back(std::move(c));
-  }
-  return columns;
 }
 
 /// \brief Appends an offset map: [u32 m]([string key][i64 offset])*m.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "types/serde.h"
-
 namespace cq {
 
 namespace {
@@ -225,81 +223,6 @@ size_t ColumnarBatch::ApproxBytes() const {
                  watermarks_.size() * sizeof(WatermarkMark);
   for (const Column& col : columns_) bytes += col.ApproxBytes();
   return bytes;
-}
-
-void ColumnarBatch::Clear() {
-  columns_.clear();
-  timestamps_.clear();
-  selection_.clear();
-  selected_count_ = 0;
-  num_rows_ = 0;
-  watermarks_.clear();
-  trace_ = TraceContext();
-  enqueue_ns_ = 0;
-}
-
-void ColumnarBatch::EncodeTo(std::string* out) const {
-  EncodeU32(static_cast<uint32_t>(columns_.size()), out);
-  EncodeU64(num_rows_, out);
-  for (const Column& col : columns_) EncodeColumn(col, out);
-  for (Timestamp ts : timestamps_) EncodeI64(ts, out);
-  out->push_back(selection_.empty() ? 0 : 1);
-  if (!selection_.empty()) {
-    EncodeU32(static_cast<uint32_t>(selection_.size()), out);
-    for (uint64_t w : selection_) EncodeU64(w, out);
-  }
-  EncodeU32(static_cast<uint32_t>(watermarks_.size()), out);
-  for (const WatermarkMark& wm : watermarks_) {
-    EncodeU32(wm.pos, out);
-    EncodeI64(wm.ts, out);
-  }
-}
-
-Result<ColumnarBatch> ColumnarBatch::DecodeFrom(std::string_view* in) {
-  ColumnarBatch out;
-  CQ_ASSIGN_OR_RETURN(uint32_t ncols, DecodeU32(in));
-  CQ_ASSIGN_OR_RETURN(uint64_t nrows, DecodeU64(in));
-  out.num_rows_ = nrows;
-  out.columns_.reserve(ncols);
-  for (uint32_t c = 0; c < ncols; ++c) {
-    CQ_ASSIGN_OR_RETURN(Column col, DecodeColumn(in));
-    if (col.size() != nrows) {
-      return Status::ParseError("columnar batch: column size mismatch");
-    }
-    out.columns_.push_back(std::move(col));
-  }
-  out.timestamps_.reserve(nrows);
-  for (uint64_t i = 0; i < nrows; ++i) {
-    CQ_ASSIGN_OR_RETURN(int64_t ts, DecodeI64(in));
-    out.timestamps_.push_back(ts);
-  }
-  if (in->empty()) return Status::ParseError("columnar batch: underflow");
-  bool has_sel = (*in)[0] != 0;
-  in->remove_prefix(1);
-  if (has_sel) {
-    CQ_ASSIGN_OR_RETURN(uint32_t words, DecodeU32(in));
-    if (words != (nrows + 63) / 64) {
-      return Status::ParseError("columnar batch: selection bitmap size");
-    }
-    out.selection_.reserve(words);
-    for (uint32_t i = 0; i < words; ++i) {
-      CQ_ASSIGN_OR_RETURN(uint64_t w, DecodeU64(in));
-      out.selection_.push_back(w);
-    }
-    for (uint64_t w : out.selection_) out.selected_count_ += PopCount(w);
-  }
-  CQ_ASSIGN_OR_RETURN(uint32_t nwms, DecodeU32(in));
-  out.watermarks_.reserve(nwms);
-  for (uint32_t i = 0; i < nwms; ++i) {
-    WatermarkMark wm;
-    CQ_ASSIGN_OR_RETURN(wm.pos, DecodeU32(in));
-    CQ_ASSIGN_OR_RETURN(wm.ts, DecodeI64(in));
-    if (wm.pos > nrows) {
-      return Status::ParseError("columnar batch: watermark position");
-    }
-    out.watermarks_.push_back(wm);
-  }
-  return out;
 }
 
 }  // namespace cq

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -152,11 +151,6 @@ class ColumnarBatch {
   void set_enqueue_ns(int64_t ns) { enqueue_ns_ = ns; }
 
   size_t ApproxBytes() const;
-  void Clear();
-
-  /// \brief Binary codec (exchange / checkpoint images).
-  void EncodeTo(std::string* out) const;
-  static Result<ColumnarBatch> DecodeFrom(std::string_view* in);
 
  private:
   /// Materialises the implicit all-selected bitmap so bits can be cleared.

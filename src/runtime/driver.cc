@@ -100,57 +100,6 @@ Result<StreamBatch> BrokerSourceDriver::PollBatch(size_t max_per_partition) {
   return batch;
 }
 
-Result<ColumnarBatch> BrokerSourceDriver::PollColumnarBatch(
-    size_t max_per_partition) {
-  CQ_RETURN_NOT_OK(EnsureInitialized());
-  CQ_ASSIGN_OR_RETURN(Topic * t, broker_->GetTopic(topic_));
-  const size_t limit =
-      max_per_partition == 0 ? options_.max_poll_records : max_per_partition;
-  const bool sample =
-      options_.tracer != nullptr && options_.trace_sample_every != 0 &&
-      (polls_++ % options_.trace_sample_every) == 0;
-  const int64_t poll_start_ns = sample ? MonotonicNanos() : 0;
-  // Fetch everything first; positions and watermark generators advance only
-  // once the whole poll columnarised cleanly.
-  std::vector<std::vector<Message>> polled(t->num_partitions());
-  ColumnarBatch batch;
-  for (size_t p = 0; p < t->num_partitions(); ++p) {
-    CQ_ASSIGN_OR_RETURN(polled[p],
-                        broker_->PollAt(topic_, p, positions_[p], limit));
-    for (auto& msg : polled[p]) {
-      CQ_RETURN_NOT_OK(batch.AppendRow(msg.value, msg.timestamp));
-    }
-  }
-  for (size_t p = 0; p < t->num_partitions(); ++p) {
-    if (polled[p].empty()) continue;
-    for (const auto& msg : polled[p]) {
-      partition_watermarks_[p].Observe(msg.timestamp);
-    }
-    positions_[p] = polled[p].back().offset + 1;
-  }
-  Timestamp wm = CurrentWatermark();
-  if (wm != kMinTimestamp && wm > last_emitted_wm_) {
-    last_emitted_wm_ = wm;
-    batch.AppendWatermark(wm);
-  }
-  if (sample && !batch.empty()) {
-    Span span;
-    span.trace_id = NextTraceId();
-    span.span_id = NextSpanId();
-    span.kind = SpanKind::kIngest;
-    span.name = "poll:" + topic_;
-    span.start_ns = poll_start_ns;
-    span.duration_ns = MonotonicNanos() - poll_start_ns;
-    TraceContext tc;
-    tc.trace_id = span.trace_id;
-    tc.parent_span = span.span_id;
-    tc.ingest_ns = poll_start_ns;
-    batch.set_trace(tc);
-    options_.tracer->Record(std::move(span));
-  }
-  return batch;
-}
-
 Result<size_t> BrokerSourceDriver::PumpInto(Channel* out, bool* paused) {
   if (paused != nullptr) *paused = false;
   if (out->credits_available() == 0) {
@@ -164,22 +113,6 @@ Result<size_t> BrokerSourceDriver::PumpInto(Channel* out, bool* paused) {
   size_t records = batch.num_records();
   CQ_RETURN_NOT_OK(out->Push(std::move(batch)));
   return records;
-}
-
-Status BrokerSourceDriver::DrainInto(Channel* out) {
-  while (true) {
-    CQ_ASSIGN_OR_RETURN(StreamBatch batch, PollBatch());
-    if (batch.num_records() == 0) break;
-    CQ_RETURN_NOT_OK(out->Push(std::move(batch)));
-  }
-  CQ_ASSIGN_OR_RETURN(Timestamp final_wm, FinalWatermark());
-  if (final_wm != kMinTimestamp) {
-    StreamBatch eos;
-    eos.AddWatermark(final_wm);
-    last_emitted_wm_ = std::max(last_emitted_wm_, final_wm);
-    CQ_RETURN_NOT_OK(out->Push(std::move(eos)));
-  }
-  return Status::OK();
 }
 
 Timestamp BrokerSourceDriver::CurrentWatermark() const {

@@ -36,7 +36,6 @@
 #include "queue/broker.h"
 #include "runtime/batch.h"
 #include "runtime/channel.h"
-#include "runtime/columnar_batch.h"
 
 namespace cq {
 
@@ -91,25 +90,11 @@ class BrokerSourceDriver {
   /// only when it advanced). An empty batch means the group is caught up.
   Result<StreamBatch> PollBatch(size_t max_per_partition = 0);
 
-  /// \brief PollBatch's columnar twin: accumulates the polled records
-  /// straight into typed column vectors (no row materialisation at the
-  /// ingestion edge) for PipelineExecutor::PushColumnar. Fetch-then-commit:
-  /// read positions and watermark state advance only after every record
-  /// appended cleanly, so a schema conflict (ragged arity, mixed-type
-  /// column) returns an error with positions untouched and the caller can
-  /// re-poll the same window through the row path.
-  Result<ColumnarBatch> PollColumnarBatch(size_t max_per_partition = 0);
-
   /// \brief Credit-aware pump: polls only when `out` has a credit available,
   /// pushing the polled batch into the channel. When credits are exhausted
   /// the poll is skipped entirely (positions stay put, backlog stays in the
   /// broker) and `*paused` is set. Returns records moved.
   Result<size_t> PumpInto(Channel* out, bool* paused = nullptr);
-
-  /// \brief Pumps until the topic is drained (blocking on channel credits),
-  /// then pushes a final watermark past the topic's max timestamp
-  /// (end-of-input for bounded replays). Does not close the channel.
-  Status DrainInto(Channel* out);
 
   /// \brief Current min-across-partitions source watermark.
   Timestamp CurrentWatermark() const;

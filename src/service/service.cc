@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <set>
 
 #include "dataflow/operators.h"
@@ -223,7 +222,6 @@ Result<QueryId> QueryService::RegisterQueryLocked(const std::string& sql) {
   rec.state = QueryState::kRegistering;
   rec.sql = sql;
   rec.output_schema = planned.output_schema;
-  rec.hints = config_.optimizer.selectivity_hints;
 
   // With sharing disabled every fingerprint is salted with the query id, so
   // the index never matches and each query gets a private chain (the bench
@@ -616,55 +614,6 @@ std::string QueryService::DumpMetrics(MetricsFormat format) {
   return executor_->DumpMetrics(format);
 }
 
-namespace {
-
-/// The canonical predicate fingerprint of a filter-stage fingerprint, or ""
-/// when `fp` names some other stage. Filter stages end "...|flt:<expr IR>"
-/// with no window stage after them; the sharing-off salt lives in the
-/// upstream part, so the suffix is always clean expression IR.
-std::string FilterStagePredicate(const std::string& fp) {
-  if (fp.rfind("plan:", 0) == 0) return "";
-  size_t flt = fp.rfind("|flt:");
-  if (flt == std::string::npos) return "";
-  size_t win = fp.rfind("|win:");
-  if (win != std::string::npos && win > flt) return "";
-  return fp.substr(flt + 5);
-}
-
-}  // namespace
-
-SelectivityHints QueryService::ObservedSelectivityHints() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  SelectivityHints hints;
-  for (const auto& [fp, sn] : shared_) {
-    std::string pred = FilterStagePredicate(fp);
-    if (pred.empty()) continue;
-    double ewma = executor_->NodeSelectivityEwma(sn.node);
-    if (ewma < 0.0) continue;  // unobserved
-    hints[std::move(pred)] = ewma;
-  }
-  return hints;
-}
-
-void QueryService::SetSelectivityHints(SelectivityHints hints) {
-  std::lock_guard<std::mutex> lock(mu_);
-  config_.optimizer.selectivity_hints = std::move(hints);
-}
-
-SelectivityHints QueryService::CurrentSelectivityHints() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return config_.optimizer.selectivity_hints;
-}
-
-size_t QueryService::RefreshSelectivityHints() {
-  SelectivityHints observed = ObservedSelectivityHints();
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [pred, sel] : observed) {
-    config_.optimizer.selectivity_hints[pred] = sel;
-  }
-  return observed.size();
-}
-
 // --- Durability ---
 
 namespace {
@@ -678,35 +627,7 @@ struct PersistedQuery {
   std::vector<std::string> ref_order;
   uint64_t nodes_total = 0;
   uint64_t nodes_reused = 0;
-  /// Hints the query was planned with: restore-replay pins these so the
-  /// replayed plan (and its fingerprints) match the checkpoint even if the
-  /// service refreshed its hints afterwards.
-  SelectivityHints hints;
 };
-
-void EncodeHints(const SelectivityHints& hints, std::string* out) {
-  EncodeU32(static_cast<uint32_t>(hints.size()), out);
-  for (const auto& [pred, sel] : hints) {
-    EncodeString(pred, out);
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(sel));
-    std::memcpy(&bits, &sel, sizeof(bits));
-    EncodeU64(bits, out);
-  }
-}
-
-Result<SelectivityHints> DecodeHints(std::string_view* in) {
-  SelectivityHints hints;
-  CQ_ASSIGN_OR_RETURN(uint32_t n, DecodeU32(in));
-  for (uint32_t i = 0; i < n; ++i) {
-    CQ_ASSIGN_OR_RETURN(std::string pred, DecodeString(in));
-    CQ_ASSIGN_OR_RETURN(uint64_t bits, DecodeU64(in));
-    double sel = 0.0;
-    std::memcpy(&sel, &bits, sizeof(sel));
-    hints[std::move(pred)] = sel;
-  }
-  return hints;
-}
 
 struct PersistedRegistry {
   uint64_t next_query_id = 1;
@@ -716,9 +637,6 @@ struct PersistedRegistry {
   std::map<std::string, std::vector<Field>> streams;
   std::vector<PersistedQuery> queries;              // id order
   std::map<std::string, uint64_t> shared_refs;      // fingerprint -> refs
-  /// The service's current hints (future registrations), restored after
-  /// every query replays with its own pinned snapshot.
-  SelectivityHints current_hints;
   std::vector<std::string> state_keys;              // aligns inner[1..]
 };
 
@@ -751,14 +669,12 @@ Result<PersistedRegistry> DecodeRegistry(std::string_view blob) {
     CQ_ASSIGN_OR_RETURN(q.ref_order, ft::DecodeBlobList(&in));
     CQ_ASSIGN_OR_RETURN(q.nodes_total, DecodeU64(&in));
     CQ_ASSIGN_OR_RETURN(q.nodes_reused, DecodeU64(&in));
-    CQ_ASSIGN_OR_RETURN(q.hints, DecodeHints(&in));
   }
   CQ_ASSIGN_OR_RETURN(uint32_t ns, DecodeU32(&in));
   for (uint32_t i = 0; i < ns; ++i) {
     CQ_ASSIGN_OR_RETURN(std::string fp, DecodeString(&in));
     CQ_ASSIGN_OR_RETURN(reg.shared_refs[std::move(fp)], DecodeU64(&in));
   }
-  CQ_ASSIGN_OR_RETURN(reg.current_hints, DecodeHints(&in));
   CQ_ASSIGN_OR_RETURN(reg.state_keys, ft::DecodeBlobList(&in));
   if (!in.empty()) {
     return Status::IOError("trailing bytes after service registry");
@@ -819,14 +735,12 @@ Result<std::vector<std::string>> QueryService::SnapshotSlotsLocked() {
     ft::EncodeBlobList(rec.ref_order, &reg);
     EncodeU64(rec.nodes_total, &reg);
     EncodeU64(rec.nodes_reused, &reg);
-    EncodeHints(rec.hints, &reg);
   }
   EncodeU32(static_cast<uint32_t>(shared_.size()), &reg);
   for (const auto& [fp, sn] : shared_) {
     EncodeString(fp, &reg);
     EncodeU64(sn.refs, &reg);
   }
-  EncodeHints(config_.optimizer.selectivity_hints, &reg);
   ft::EncodeBlobList(keys, &reg);
 
   std::vector<std::string> inner;
@@ -925,10 +839,6 @@ Status QueryService::RestoreSlots(const std::vector<std::string>& slots) {
   // shape — verified below, not assumed.
   for (const PersistedQuery& pq : reg.queries) {
     next_query_id_ = pq.id;
-    // Pin the hints snapshot the query was originally planned with: hints
-    // steer predicate ordering and join-input choice, so replaying with the
-    // service's current hints could change fingerprints.
-    config_.optimizer.selectivity_hints = pq.hints;
     CQ_ASSIGN_OR_RETURN(QueryId got, RegisterQueryLocked(pq.sql));
     if (got != pq.id) {
       return Status::Internal("restore replay assigned query id " +
@@ -945,7 +855,6 @@ Status QueryService::RestoreSlots(const std::vector<std::string>& slots) {
   }
   next_query_id_ = reg.next_query_id;
   next_sub_id_ = reg.next_sub_id;
-  config_.optimizer.selectivity_hints = reg.current_hints;
 
   // The re-spliced graph must share exactly as the checkpointed one did.
   std::map<std::string, uint64_t> refs_now;

@@ -185,28 +185,6 @@ class QueryService : public ft::Checkpointable, public ft::BarrierInjectable {
   /// downstream — byte-identical across a checkpoint/restore cycle.
   Result<std::vector<std::string>> QueryFingerprints(QueryId id) const;
 
-  // --- Optimizer selectivity feedback ---
-
-  /// \brief Samples the observed-selectivity EWMAs of the shared filter
-  /// stages (the `cq_dataflow_selectivity` gauges) and returns them keyed by
-  /// canonical predicate fingerprint — directly usable as
-  /// OptimizerOptions::selectivity_hints. Stages with no observations yet
-  /// (or no metrics registry) are omitted.
-  SelectivityHints ObservedSelectivityHints() const;
-
-  /// \brief Replaces the selectivity hints applied to future registrations.
-  /// Running queries keep the plan (and fingerprints) they registered with;
-  /// each query's hints snapshot is persisted so restore-replay reproduces
-  /// its fingerprints even after a refresh.
-  void SetSelectivityHints(SelectivityHints hints);
-
-  SelectivityHints CurrentSelectivityHints() const;
-
-  /// \brief Merges ObservedSelectivityHints() into the current hints and
-  /// returns how many stages contributed — the feedback edge from PR 6's
-  /// attribution metrics back into the optimizer's cost model.
-  size_t RefreshSelectivityHints();
-
   /// \brief Approximate resident state bytes attributed to one query: the
   /// sum of StateBytesApprox over every node in its ref_order. A shared
   /// node counts fully for each query referencing it (attribution, not a
@@ -239,11 +217,6 @@ class QueryService : public ft::Checkpointable, public ft::BarrierInjectable {
     ft::EpochSinkOperator* fence = nullptr;  // borrowed from the graph
     size_t nodes_total = 0;
     size_t nodes_reused = 0;
-    /// The selectivity hints this query was planned with (a snapshot of the
-    /// optimizer config at registration). Persisted and pinned during
-    /// restore-replay: hints change plan shape, so replaying with newer
-    /// hints would break fingerprint verification.
-    SelectivityHints hints;
   };
 
   /// Takes (or creates) the node named `fp`; on creation invokes `factory`

@@ -1,6 +1,6 @@
 #include "shard/planner.h"
 
-#include <utility>
+#include <optional>
 
 namespace cq::shard {
 namespace {
@@ -23,72 +23,6 @@ bool Satisfies(const Partitioning& have, const std::vector<size_t>& need) {
 
 }  // namespace
 
-Result<std::vector<ExchangePlacement>> ShardPlanner::AnalyzeGraph(
-    const DataflowGraph& graph,
-    const std::map<NodeId, std::vector<size_t>>& source_partitioning) {
-  CQ_ASSIGN_OR_RETURN(std::vector<NodeId> order, graph.TopologicalOrder());
-
-  // Partitioning of each node's OUTPUT stream, keyed by node id.
-  std::map<NodeId, Partitioning> out_part;
-  // Partitioning arriving on each (node, port) input, min over upstreams:
-  // two upstream edges with different partitioning make the port unknown.
-  std::map<std::pair<NodeId, size_t>, std::optional<Partitioning>> in_part;
-
-  std::vector<ExchangePlacement> placements;
-  for (NodeId id : order) {
-    const Operator* op = graph.node(id);
-    const bool is_source = graph.num_inputs(id) == 0;
-
-    // Resolve the partitioning entering each input port.
-    const size_t ports = op->num_input_ports() == 0 ? 1 : op->num_input_ports();
-    std::vector<Partitioning> port_in(ports, std::nullopt);
-    if (is_source) {
-      auto it = source_partitioning.find(id);
-      if (it != source_partitioning.end()) port_in[0] = it->second;
-    } else {
-      for (size_t p = 0; p < ports; ++p) {
-        auto it = in_part.find({id, p});
-        if (it != in_part.end() && it->second.has_value()) {
-          port_in[p] = *it->second;
-        }
-      }
-    }
-
-    // Place an exchange on every port whose stream does not satisfy the
-    // operator's key requirement there.
-    for (size_t p = 0; p < ports; ++p) {
-      std::vector<size_t> need = op->PartitionKeyColumns(p);
-      if (need.empty()) continue;
-      if (!Satisfies(port_in[p], need)) {
-        placements.push_back({id, p, need});
-        port_in[p] = need;  // post-exchange partitioning
-      }
-    }
-
-    // Propagate to downstream edges. Multi-input operators destroy
-    // partitioning unless they guarantee one themselves.
-    Partitioning produced;
-    if (ports == 1) {
-      produced = Propagate(*op, port_in[0]);
-    } else {
-      std::vector<size_t> guaranteed = op->OutputPartitionColumns();
-      if (!guaranteed.empty()) produced = guaranteed;
-    }
-    out_part[id] = produced;
-    for (const DataflowGraph::Edge& e : graph.outputs(id)) {
-      auto key = std::make_pair(e.to, e.port);
-      auto it = in_part.find(key);
-      if (it == in_part.end()) {
-        in_part[key] = produced;
-      } else if (!it->second.has_value() || !produced.has_value() ||
-                 **it->second != *produced) {
-        it->second = Partitioning{};  // conflicting upstreams -> unknown
-      }
-    }
-  }
-  return placements;
-}
-
 Result<std::vector<ChainStage>> ShardPlanner::PlanChain(
     const std::vector<const Operator*>& ops,
     const std::vector<size_t>& ingest_key) {
@@ -104,8 +38,8 @@ Result<std::vector<ChainStage>> ShardPlanner::PlanChain(
 
   std::vector<ChainStage> stages;
   stages.push_back({0, 0, ingest_key});
-  Partitioning current =
-      ingest_key.empty() ? Partitioning{} : Partitioning{ingest_key};
+  Partitioning current;
+  if (!ingest_key.empty()) current = ingest_key;
   // While the ingest key is still undecided, a key requirement found behind
   // partition-preserving (record-wise) operators is hoisted to the ingest
   // split instead of costing an exchange.

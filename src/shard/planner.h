@@ -4,37 +4,24 @@
 /// \file planner.h
 /// \brief ShardPlanner: decides where exchanges go.
 ///
-/// The planner walks a dataflow in topological order tracking how each
-/// edge's stream is currently partitioned, and places a hash exchange on
-/// every edge whose partitioning does not satisfy the consuming operator's
-/// key requirement (Operator::PartitionKeyColumns). Partitioning is
-/// propagated through operators via two more hooks: PreservesPartitioning
-/// (record-wise, schema-preserving operators pass partitioning through) and
+/// PlanChain walks a linear operator chain tracking how each edge's stream
+/// is currently partitioned, and places a hash exchange on every edge whose
+/// partitioning does not satisfy the consuming operator's key requirement
+/// (Operator::PartitionKeyColumns). Partitioning is propagated through
+/// operators via two more hooks: PreservesPartitioning (record-wise,
+/// schema-preserving operators pass partitioning through) and
 /// OutputPartitionColumns (keyed operators guarantee their output leads
 /// with the group key). Everything else conservatively destroys
-/// partitioning, which can only add exchanges, never miss one.
-///
-/// Two entry points: AnalyzeGraph reports exchange placements for an
-/// arbitrary DAG (planning/diagnostics), and PlanChain cuts a linear
-/// operator chain into the executable stage list a ShardedPipeline runs —
-/// stage boundaries are exactly the exchange placements.
+/// partitioning, which can only add exchanges, never miss one. The result
+/// is the executable stage list a ShardedPipeline runs — stage boundaries
+/// are exactly the exchange placements.
 
-#include <map>
-#include <optional>
 #include <vector>
 
 #include "common/status.h"
-#include "dataflow/graph.h"
+#include "dataflow/operator.h"
 
 namespace cq::shard {
-
-/// \brief One exchange placement: the stream entering `node` on `port`
-/// must be re-partitioned by `key` (input-schema columns of `node`).
-struct ExchangePlacement {
-  NodeId node = 0;
-  size_t port = 0;
-  std::vector<size_t> key;
-};
 
 /// \brief One executable stage of a sharded chain: ops [begin, end) of the
 /// logical chain, entered partitioned by `partition_key` (empty for an
@@ -47,13 +34,6 @@ struct ChainStage {
 
 class ShardPlanner {
  public:
-  /// \brief Walks `graph` topologically and returns every edge that needs
-  /// a hash exchange. `source_partitioning` gives the partitioning of each
-  /// source node's injected stream (omit a source for "unpartitioned").
-  static Result<std::vector<ExchangePlacement>> AnalyzeGraph(
-      const DataflowGraph& graph,
-      const std::map<NodeId, std::vector<size_t>>& source_partitioning);
-
   /// \brief Cuts a linear operator chain into stages. `ingest_key` is the
   /// partitioning the producer splits by at ingest; when empty, the first
   /// key requirement reachable through partition-preserving operators is

@@ -206,17 +206,6 @@ Status ShardedQueryService::PushWatermark(const std::string& stream,
   return Status::OK();
 }
 
-Status ShardedQueryService::Push(const std::string& stream,
-                                 const StreamElement& element) {
-  if (element.is_record()) {
-    return PushRecord(stream, element.tuple, element.timestamp);
-  }
-  if (element.is_watermark()) {
-    return PushWatermark(stream, element.timestamp);
-  }
-  return Status::InvalidArgument("barriers enter via InjectBarrier");
-}
-
 Status ShardedQueryService::PushBatch(const std::string& stream,
                                       StreamBatch batch) {
   if (batch.columnar() != nullptr) {

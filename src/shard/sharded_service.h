@@ -90,7 +90,6 @@ class ShardedQueryService : public ft::Checkpointable,
 
   Status PushRecord(const std::string& stream, Tuple tuple, Timestamp ts);
   Status PushWatermark(const std::string& stream, Timestamp watermark);
-  Status Push(const std::string& stream, const StreamElement& element);
   /// \brief Splits the batch with the stream's partitioner (records routed,
   /// watermarks broadcast) and pushes each replica's slice. Records move
   /// into the slices when `batch` is the sole owner of its rows.
@@ -120,27 +119,6 @@ class ShardedQueryService : public ft::Checkpointable,
   }
   /// \brief Records routed to shard `i` so far.
   uint64_t records_routed(size_t shard) const { return routed_[shard]; }
-
-  /// \brief Applies the same selectivity hints to every replica. Replica
-  /// QueryIds and fingerprints must agree (registration asserts it), so
-  /// hints — which steer plan shape — must be set uniformly; never call
-  /// replica(i)->SetSelectivityHints directly on >1 shards.
-  void SetSelectivityHints(const SelectivityHints& hints) {
-    for (const auto& replica : replicas_) {
-      replica->SetSelectivityHints(hints);
-    }
-  }
-
-  /// \brief Samples replica 0's observed filter selectivities (each replica
-  /// sees its own key slice; replica 0 stands in for the population) and
-  /// applies them uniformly. Returns the number of observed stages.
-  size_t RefreshSelectivityHints() {
-    SelectivityHints observed = replicas_[0]->ObservedSelectivityHints();
-    SelectivityHints merged = replicas_[0]->CurrentSelectivityHints();
-    for (const auto& [pred, sel] : observed) merged[pred] = sel;
-    SetSelectivityHints(merged);
-    return observed.size();
-  }
 
   /// \brief Query state attributed across all replicas (the per-tenant
   /// quota measurement: a query registers on every replica, so its resident

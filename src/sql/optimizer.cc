@@ -719,20 +719,19 @@ Result<RelOpPtr> MergeProjections(RelOpPtr plan, OptimizerStats* stats) {
 // ---- Rule: choose hash-join inputs ----
 
 /// Estimated fraction of base rows surviving a branch: the product of its
-/// selection predicates' selectivities (hints-aware). Lower = smaller input.
-double BranchWeight(const RelOpPtr& op, const SelectivityHints& hints) {
+/// selection predicates' selectivities. Lower = smaller input.
+double BranchWeight(const RelOpPtr& op) {
   double w = op->kind() == RelOpKind::kSelect
-                 ? EstimateSelectivity(*op->predicate(), hints)
+                 ? EstimateSelectivity(*op->predicate())
                  : 1.0;
-  for (const auto& c : op->children()) w *= BranchWeight(c, hints);
+  for (const auto& c : op->children()) w *= BranchWeight(c);
   return w;
 }
 
-Result<RelOpPtr> ChooseJoinInputs(RelOpPtr plan, const SelectivityHints& hints,
-                                  OptimizerStats* stats) {
+Result<RelOpPtr> ChooseJoinInputs(RelOpPtr plan, OptimizerStats* stats) {
   std::vector<RelOpPtr> children;
   for (const auto& c : plan->children()) {
-    CQ_ASSIGN_OR_RETURN(RelOpPtr nc, ChooseJoinInputs(c, hints, stats));
+    CQ_ASSIGN_OR_RETURN(RelOpPtr nc, ChooseJoinInputs(c, stats));
     children.push_back(std::move(nc));
   }
   RelOpPtr node = plan->WithChildren(std::move(children));
@@ -743,7 +742,7 @@ Result<RelOpPtr> ChooseJoinInputs(RelOpPtr plan, const SelectivityHints& hints,
   // The more-selective (estimated smaller) side becomes the left/build
   // input; its index stays small and high-rate deltas from the big side
   // probe it.
-  if (BranchWeight(right, hints) >= BranchWeight(left, hints)) return node;
+  if (BranchWeight(right) >= BranchWeight(left)) return node;
 
   const size_t nl = left->schema()->num_fields();
   const size_t nr = right->schema()->num_fields();
@@ -811,11 +810,10 @@ Result<RelOpPtr> EliminateRedundancy(RelOpPtr plan, OptimizerStats* stats) {
 
 // ---- Rule: reorder selection chains by selectivity ----
 
-Result<RelOpPtr> ReorderSelections(RelOpPtr plan, const SelectivityHints& hints,
-                                   OptimizerStats* stats) {
+Result<RelOpPtr> ReorderSelections(RelOpPtr plan, OptimizerStats* stats) {
   std::vector<RelOpPtr> children;
   for (const auto& c : plan->children()) {
-    CQ_ASSIGN_OR_RETURN(RelOpPtr nc, ReorderSelections(c, hints, stats));
+    CQ_ASSIGN_OR_RETURN(RelOpPtr nc, ReorderSelections(c, stats));
     children.push_back(std::move(nc));
   }
   RelOpPtr node = plan->WithChildren(std::move(children));
@@ -839,7 +837,7 @@ Result<RelOpPtr> ReorderSelections(RelOpPtr plan, const SelectivityHints& hints,
   std::vector<Keyed> keyed;
   keyed.reserve(preds.size());
   for (const ExprPtr& p : preds) {
-    keyed.push_back({p, EstimateSelectivity(*p, hints), Fp(p)});
+    keyed.push_back({p, EstimateSelectivity(*p), Fp(p)});
   }
   std::vector<Keyed> sorted = keyed;
   std::stable_sort(sorted.begin(), sorted.end(),
@@ -891,14 +889,9 @@ Result<RelOpPtr> FuseSelections(RelOpPtr plan, OptimizerStats* stats) {
   return RelOp::Select(cursor, AndAll(preds));
 }
 
-double EstimateSelectivityImpl(const Expr& predicate,
-                               const SelectivityHints& hints) {
-  if (!hints.empty()) {
-    auto it = hints.find(SerializeExpr(predicate));
-    if (it != hints.end()) {
-      return std::min(1.0, std::max(0.0, it->second));
-    }
-  }
+}  // namespace
+
+double EstimateSelectivity(const Expr& predicate) {
   switch (predicate.kind()) {
     case Expr::Kind::kBinary: {
       const auto& b = static_cast<const BinaryExpr&>(predicate);
@@ -915,12 +908,12 @@ double EstimateSelectivityImpl(const Expr& predicate,
         case BinaryOp::kGe:
           return 0.33;
         case BinaryOp::kAnd: {
-          return EstimateSelectivityImpl(*b.left(), hints) *
-                 EstimateSelectivityImpl(*b.right(), hints);
+          return EstimateSelectivity(*b.left()) *
+                 EstimateSelectivity(*b.right());
         }
         case BinaryOp::kOr: {
-          double l = EstimateSelectivityImpl(*b.left(), hints);
-          double r = EstimateSelectivityImpl(*b.right(), hints);
+          double l = EstimateSelectivity(*b.left());
+          double r = EstimateSelectivity(*b.right());
           return l + r - l * r;
         }
         default:
@@ -928,26 +921,13 @@ double EstimateSelectivityImpl(const Expr& predicate,
       }
     }
     case Expr::Kind::kNot:
-      return 1.0 -
-             EstimateSelectivityImpl(
-                 *static_cast<const NotExpr&>(predicate).inner(), hints);
+      return 1.0 - EstimateSelectivity(
+                       *static_cast<const NotExpr&>(predicate).inner());
     case Expr::Kind::kIsNull:
       return 0.1;
     default:
       return 0.5;
   }
-}
-
-}  // namespace
-
-double EstimateSelectivity(const Expr& predicate) {
-  static const SelectivityHints kNoHints;
-  return EstimateSelectivityImpl(predicate, kNoHints);
-}
-
-double EstimateSelectivity(const Expr& predicate,
-                           const SelectivityHints& hints) {
-  return EstimateSelectivityImpl(predicate, hints);
 }
 
 ExprPtr CanonicalizePredicate(const ExprPtr& expr, OptimizerStats* stats) {
@@ -1057,8 +1037,7 @@ Result<RelOpPtr> OptimizePlan(RelOpPtr plan, const OptimizerOptions& options,
     CQ_ASSIGN_OR_RETURN(plan, ExtractEquiJoins(plan, stats));
   }
   if (options.choose_join_inputs) {
-    CQ_ASSIGN_OR_RETURN(
-        plan, ChooseJoinInputs(plan, options.selectivity_hints, stats));
+    CQ_ASSIGN_OR_RETURN(plan, ChooseJoinInputs(plan, stats));
   }
   if (options.merge_projections) {
     CQ_ASSIGN_OR_RETURN(plan, MergeProjections(plan, stats));
@@ -1067,8 +1046,7 @@ Result<RelOpPtr> OptimizePlan(RelOpPtr plan, const OptimizerOptions& options,
     CQ_ASSIGN_OR_RETURN(plan, EliminateRedundancy(plan, stats));
   }
   if (options.reorder_selections) {
-    CQ_ASSIGN_OR_RETURN(
-        plan, ReorderSelections(plan, options.selectivity_hints, stats));
+    CQ_ASSIGN_OR_RETURN(plan, ReorderSelections(plan, stats));
   }
   if (options.fuse_selections) {
     CQ_ASSIGN_OR_RETURN(plan, FuseSelections(plan, stats));

@@ -36,7 +36,6 @@
 /// selection reordering) may change *which* evaluation error surfaces for
 /// ill-typed data, never the output of a well-typed query.
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -44,13 +43,6 @@
 #include "cql/plan.h"
 
 namespace cq {
-
-/// \brief Observed selectivities keyed by canonical predicate fingerprint
-/// (ExprFingerprint of the canonicalized predicate). Values in [0, 1];
-/// lower = more selective. The service refreshes these from the
-/// `cq_dataflow_selectivity` EWMA gauges its filter stages export
-/// (QueryService::ObservedSelectivityHints).
-using SelectivityHints = std::map<std::string, double>;
 
 struct OptimizerOptions {
   bool canonicalize = true;
@@ -62,11 +54,6 @@ struct OptimizerOptions {
   bool fuse_selections = true;
   bool merge_projections = true;
   bool choose_join_inputs = true;
-  /// Observed-selectivity overrides consulted by EstimateSelectivity before
-  /// its static heuristics. Part of the optimiser configuration: the service
-  /// persists the hints each query was planned with so restore-replay
-  /// reproduces fingerprints byte-for-byte.
-  SelectivityHints selectivity_hints;
 };
 
 struct OptimizerStats {
@@ -89,12 +76,6 @@ Result<RelOpPtr> OptimizePlan(RelOpPtr plan, const OptimizerOptions& options,
 /// \brief Estimated selectivity of a predicate in [0, 1] (lower = more
 /// selective); the heuristic cost model behind selection reordering.
 double EstimateSelectivity(const Expr& predicate);
-
-/// \brief Hint-aware estimate: an observed selectivity for the predicate's
-/// canonical fingerprint (or any sub-predicate's) overrides the static
-/// heuristic at that node.
-double EstimateSelectivity(const Expr& predicate,
-                           const SelectivityHints& hints);
 
 /// \brief Canonical form of a predicate-context expression (NULL collapses
 /// to false downstream). Deterministic: semantically-equal predicates map
@@ -122,7 +103,7 @@ const std::vector<std::string>& OptimizerRuleNames();
 /// starts from all-off and enables the listed rules (each-rule-solo form);
 /// "+name" / "-name" toggle individual rules from the current state.
 /// Examples: "all", "none", "canonicalize", "all,-fuse", "none,+pushdown".
-/// Unknown names error. Hints are not part of the spec.
+/// Unknown names error.
 Result<OptimizerOptions> OptimizerOptionsFromSpec(const std::string& spec);
 
 }  // namespace cq

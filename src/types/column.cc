@@ -23,18 +23,6 @@ void Column::Reserve(size_t n) {
   }
 }
 
-void Column::Clear() {
-  size_ = 0;
-  has_nulls_ = false;
-  nulls_.clear();
-  i64_.clear();
-  f64_.clear();
-  b8_.clear();
-  offsets_.clear();
-  chars_.clear();
-  if (type_ == ValueType::kString) offsets_.push_back(0);
-}
-
 Status Column::Append(const Value& v) {
   if (v.is_null()) {
     AppendNull();
@@ -110,8 +98,8 @@ void Column::AppendPlaceholder() {
       f64_.push_back(0.0);
       break;
     case ValueType::kString:
-      // String column starts with offsets_ == {0} (set by EnsureType /
-      // Clear); an empty slot repeats the current end offset.
+      // String column starts with offsets_ == {0} (set by EnsureType); an
+      // empty slot repeats the current end offset.
       offsets_.push_back(static_cast<uint32_t>(chars_.size()));
       break;
   }
@@ -189,110 +177,6 @@ size_t Column::ApproxBytes() const {
   return nulls_.size() * sizeof(uint64_t) + i64_.size() * sizeof(int64_t) +
          f64_.size() * sizeof(double) + b8_.size() +
          offsets_.size() * sizeof(uint32_t) + chars_.size();
-}
-
-std::vector<Column> ColumnsForSchema(const Schema& schema) {
-  std::vector<Column> cols;
-  cols.reserve(schema.num_fields());
-  for (const Field& f : schema.fields()) {
-    cols.emplace_back(f.type);
-  }
-  return cols;
-}
-
-void EncodeColumn(const Column& col, std::string* out) {
-  out->push_back(static_cast<char>(col.type_));
-  EncodeU64(col.size_, out);
-  out->push_back(col.has_nulls_ ? 1 : 0);
-  if (col.has_nulls_) {
-    EncodeU32(static_cast<uint32_t>(col.nulls_.size()), out);
-    for (uint64_t w : col.nulls_) EncodeU64(w, out);
-  }
-  switch (col.type_) {
-    case ValueType::kNull:
-      break;
-    case ValueType::kBool:
-      out->append(reinterpret_cast<const char*>(col.b8_.data()),
-                  col.b8_.size());
-      break;
-    case ValueType::kInt64:
-      for (int64_t v : col.i64_) EncodeI64(v, out);
-      break;
-    case ValueType::kDouble:
-      for (double v : col.f64_) EncodeF64(v, out);
-      break;
-    case ValueType::kString:
-      for (uint32_t o : col.offsets_) EncodeU32(o, out);
-      EncodeString(col.chars_, out);
-      break;
-  }
-}
-
-Result<Column> DecodeColumn(std::string_view* in) {
-  if (in->empty()) return Status::ParseError("column: buffer underflow");
-  auto type = static_cast<ValueType>((*in)[0]);
-  in->remove_prefix(1);
-  if (type > ValueType::kString) {
-    return Status::ParseError("column: unknown type tag");
-  }
-  Column col;
-  col.type_ = type;  // storage vectors are filled directly below
-  CQ_ASSIGN_OR_RETURN(uint64_t size, DecodeU64(in));
-  col.size_ = size;
-  if (in->empty()) return Status::ParseError("column: buffer underflow");
-  col.has_nulls_ = (*in)[0] != 0;
-  in->remove_prefix(1);
-  if (col.has_nulls_) {
-    CQ_ASSIGN_OR_RETURN(uint32_t words, DecodeU32(in));
-    if (words < (size + 63) / 64) {
-      return Status::ParseError("column: null bitmap too short");
-    }
-    col.nulls_.reserve(words);
-    for (uint32_t i = 0; i < words; ++i) {
-      CQ_ASSIGN_OR_RETURN(uint64_t w, DecodeU64(in));
-      col.nulls_.push_back(w);
-    }
-  }
-  switch (type) {
-    case ValueType::kNull:
-      break;
-    case ValueType::kBool: {
-      if (in->size() < size) {
-        return Status::ParseError("column: buffer underflow");
-      }
-      col.b8_.assign(reinterpret_cast<const uint8_t*>(in->data()),
-                     reinterpret_cast<const uint8_t*>(in->data()) + size);
-      in->remove_prefix(size);
-      break;
-    }
-    case ValueType::kInt64:
-      col.i64_.reserve(size);
-      for (uint64_t i = 0; i < size; ++i) {
-        CQ_ASSIGN_OR_RETURN(int64_t v, DecodeI64(in));
-        col.i64_.push_back(v);
-      }
-      break;
-    case ValueType::kDouble:
-      col.f64_.reserve(size);
-      for (uint64_t i = 0; i < size; ++i) {
-        CQ_ASSIGN_OR_RETURN(double v, DecodeF64(in));
-        col.f64_.push_back(v);
-      }
-      break;
-    case ValueType::kString: {
-      col.offsets_.reserve(size + 1);
-      for (uint64_t i = 0; i < size + 1; ++i) {
-        CQ_ASSIGN_OR_RETURN(uint32_t o, DecodeU32(in));
-        col.offsets_.push_back(o);
-      }
-      CQ_ASSIGN_OR_RETURN(col.chars_, DecodeString(in));
-      if (!col.offsets_.empty() && col.offsets_.back() != col.chars_.size()) {
-        return Status::ParseError("column: string offsets inconsistent");
-      }
-      break;
-    }
-  }
-  return col;
 }
 
 }  // namespace cq

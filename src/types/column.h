@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "types/schema.h"
 #include "types/value.h"
 
 namespace cq {
@@ -40,7 +39,6 @@ class Column {
   bool empty() const { return size_ == 0; }
 
   void Reserve(size_t n);
-  void Clear();
 
   /// \brief Appends a value, adopting its type if the column is still
   /// untyped. TypeError when the value's type conflicts with the column's.
@@ -113,9 +111,6 @@ class Column {
   size_t ApproxBytes() const;
 
  private:
-  friend void EncodeColumn(const Column& col, std::string* out);
-  friend Result<Column> DecodeColumn(std::string_view* in);
-
   /// Adopts `t` for an untyped column, backfilling placeholder storage for
   /// any already-appended NULL rows. Appending a conflicting type is a
   /// precondition violation of the typed appends; Append(Value) checks first.
@@ -138,15 +133,6 @@ class Column {
   std::vector<uint32_t> offsets_;  // strings: size_+1 entries once typed
   std::string chars_;              // strings: shared character buffer
 };
-
-/// \brief One column per schema field, typed by the field (schema-driven
-/// layout for sources that know their schema up front).
-std::vector<Column> ColumnsForSchema(const Schema& schema);
-
-/// \brief Binary codec (checkpoint images, exchange). Encoding is
-/// little-endian like the rest of serde.
-void EncodeColumn(const Column& col, std::string* out);
-Result<Column> DecodeColumn(std::string_view* in);
 
 }  // namespace cq
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "dataflow/executor.h"
-#include "dataflow/join_operator.h"
 #include "dataflow/operators.h"
 #include "dataflow/session_operator.h"
 #include "dataflow/window_operator.h"
@@ -194,64 +193,6 @@ TEST(BatchEquivalenceTest, FusedChainIntoWindow) {
   ExpectBatchEquivalence(build, WindowInput());
 }
 
-/// Interval join of two passthrough sources (key column 0 on both sides,
-/// time bound 5, optional residual). Per-element pushes of `left` then
-/// `right` are the reference; PushBatch in every chunk size must match.
-void ExpectJoinEquivalence(ExprPtr residual,
-                           const std::vector<StreamElement>& left,
-                           const std::vector<StreamElement>& right,
-                           const std::vector<size_t>& chunks) {
-  struct JoinBuilt {
-    std::unique_ptr<PipelineExecutor> exec;
-    NodeId left = 0;
-    NodeId right = 0;
-    std::unique_ptr<BoundedStream> out;
-  };
-  auto build = [&residual]() {
-    JoinBuilt p;
-    p.out = std::make_unique<BoundedStream>();
-    auto g = std::make_unique<DataflowGraph>();
-    p.left = g->AddNode(std::make_unique<PassThroughOperator>("l"));
-    p.right = g->AddNode(std::make_unique<PassThroughOperator>("r"));
-    StreamJoinConfig cfg;
-    cfg.left_keys = {0};
-    cfg.right_keys = {0};
-    cfg.time_bound = 5;
-    cfg.residual = residual;
-    NodeId join = g->AddNode(std::make_unique<StreamJoinOperator>("join", cfg));
-    NodeId sink = g->AddNode(
-        std::make_unique<CollectSinkOperator>("sink", p.out.get()));
-    EXPECT_TRUE(g->Connect(p.left, join, 0).ok());
-    EXPECT_TRUE(g->Connect(p.right, join, 1).ok());
-    EXPECT_TRUE(g->Connect(join, sink).ok());
-    p.exec = std::make_unique<PipelineExecutor>(std::move(g));
-    return p;
-  };
-  JoinBuilt ref = build();
-  for (const auto& e : left) ASSERT_TRUE(ref.exec->Push(ref.left, e).ok());
-  for (const auto& e : right) ASSERT_TRUE(ref.exec->Push(ref.right, e).ok());
-  ASSERT_GT(ref.out->num_records(), 0u);
-  for (size_t chunk : chunks) {
-    JoinBuilt b = build();
-    PushChunked(b.exec.get(), b.left, left, [chunk] { return chunk; });
-    PushChunked(b.exec.get(), b.right, right, [chunk] { return chunk; });
-    ExpectStreamsIdentical(*ref.out, *b.out, "chunk=" + std::to_string(chunk));
-  }
-}
-
-TEST(BatchEquivalenceTest, IntervalJoinTwoInputs) {
-  std::vector<StreamElement> left, right;
-  for (int i = 0; i < 25; ++i) {
-    left.push_back(StreamElement::Record(T2(i % 3, i), i));
-    right.push_back(StreamElement::Record(T2(i % 3, 100 + i), i + (i % 4)));
-    if (i % 8 == 7) {
-      left.push_back(StreamElement::Watermark(i - 6));
-      right.push_back(StreamElement::Watermark(i - 6));
-    }
-  }
-  ExpectJoinEquivalence(nullptr, left, right, {1, 4, 64});
-}
-
 // --- Columnar vs per-element: randomized equivalence -----------------------
 //
 // PushBatch ships batches columnar and re-materialises rows at the first
@@ -413,21 +354,6 @@ TEST(ColumnarEquivalenceTest, RowFallbackShimUnchangedResults) {
     return p;
   };
   ExpectColumnarElementEquivalence(build, RandomColumnarInput(9, 100), 9);
-}
-
-TEST(ColumnarEquivalenceTest, IntervalJoinColumnarProbe) {
-  std::vector<StreamElement> left, right;
-  std::mt19937 rng(13);
-  for (int i = 0; i < 40; ++i) {
-    left.push_back(StreamElement::Record(T2(i % 3, rng() % 50), i));
-    right.push_back(
-        StreamElement::Record(T2(i % 3, rng() % 50), i + (i % 4)));
-    if (i % 8 == 7) {
-      left.push_back(StreamElement::Watermark(i - 6));
-      right.push_back(StreamElement::Watermark(i - 6));
-    }
-  }
-  ExpectJoinEquivalence(Lt(Col(1), Col(3)), left, right, {6});
 }
 
 TEST(ColumnarEquivalenceTest, CoverageCountersDistinguishPaths) {

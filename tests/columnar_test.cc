@@ -6,7 +6,6 @@
 
 #include "cql/expr.h"
 #include "cql/vector_eval.h"
-#include "ft/checkpointable.h"
 #include "runtime/columnar_batch.h"
 #include "types/column.h"
 #include "types/serde.h"
@@ -69,36 +68,6 @@ TEST(ColumnTest, EncodeValueAtMatchesRowEncoding) {
       EXPECT_EQ(via_column, via_value) << "index " << i;
     }
   }
-}
-
-TEST(ColumnTest, SerdeRoundTrip) {
-  Column c(ValueType::kString);
-  ASSERT_TRUE(c.Append(Value("hello")).ok());
-  ASSERT_TRUE(c.Append(Value()).ok());
-  ASSERT_TRUE(c.Append(Value("")).ok());
-  std::string buf;
-  EncodeColumn(c, &buf);
-  std::string_view in = buf;
-  Result<Column> back = DecodeColumn(&in);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_TRUE(in.empty());
-  EXPECT_EQ(*back, c);
-}
-
-TEST(ColumnTest, ColumnSetImageRoundTrip) {
-  Column a(ValueType::kInt64), b(ValueType::kDouble);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(a.Append(i % 3 == 0 ? Value() : Value(int64_t{i})).ok());
-    ASSERT_TRUE(b.Append(Value(0.5 * i)).ok());
-  }
-  std::string image;
-  ft::EncodeColumnSetImage({a, b}, &image);
-  std::string_view in = image;
-  auto back = ft::DecodeColumnSetImage(&in);
-  ASSERT_TRUE(back.ok());
-  ASSERT_EQ(back->size(), 2u);
-  EXPECT_EQ((*back)[0], a);
-  EXPECT_EQ((*back)[1], b);
 }
 
 // --- ColumnarBatch ----------------------------------------------------------
@@ -187,29 +156,6 @@ TEST(ColumnarBatchTest, ToRowsSkipsUnselectedButKeepsWatermarks) {
     if (e.is_watermark()) ++wms;
   }
   EXPECT_EQ(wms, 3u);
-}
-
-TEST(ColumnarBatchTest, SerdeRoundTrip) {
-  ColumnarBatch cb = *ColumnarBatch::FromRows(MixedRowBatch());
-  std::string buf;
-  cb.EncodeTo(&buf);
-  std::string_view in = buf;
-  Result<ColumnarBatch> decoded = ColumnarBatch::DecodeFrom(&in);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const ColumnarBatch& back = *decoded;
-  EXPECT_TRUE(in.empty());
-  EXPECT_EQ(back.num_rows(), cb.num_rows());
-  ASSERT_EQ(back.watermarks().size(), cb.watermarks().size());
-  for (size_t i = 0; i < cb.watermarks().size(); ++i) {
-    EXPECT_EQ(back.watermarks()[i].pos, cb.watermarks()[i].pos);
-    EXPECT_EQ(back.watermarks()[i].ts, cb.watermarks()[i].ts);
-  }
-  StreamBatch a = cb.ToRows(), b = back.ToRows();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(TupleToBytes(a.elements()[i].tuple),
-              TupleToBytes(b.elements()[i].tuple));
-  }
 }
 
 // --- Vectorized expression evaluation ---------------------------------------

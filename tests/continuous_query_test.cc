@@ -6,6 +6,7 @@
 
 #include "cql/continuous_query.h"
 #include "service/operators.h"
+#include "types/serde.h"
 #include "workload/generators.h"
 
 namespace cq {
@@ -529,6 +530,53 @@ TEST(PlanDeltaOperatorTest, SnapshotStateIsIndependentOfArrivalOrder) {
   PlanDeltaOperator restored("restored", plan, 2, R2SKind::kRelation);
   ASSERT_TRUE(restored.RestoreState(a).ok());
   EXPECT_EQ(*restored.SnapshotState(), a);
+}
+
+/// A plan image for `SELECT k, COUNT(*) FROM s GROUP BY k` holding one
+/// group, written field by field so its length fields can lie. The image
+/// stops right after a length field that is not 1.
+std::string OneGroupCountImage(uint32_t nrun, uint32_t nord) {
+  std::string image;
+  EncodeU32(2, &image);  // preorder nodes: aggregate, scan
+  EncodeU32(0, &image);  // accumulated output: empty
+  EncodeU32(0, &image);  // node caches
+  EncodeU32(0, &image);  // join indexes
+  EncodeU32(1, &image);  // aggregation indexes
+  EncodeU32(0, &image);  // ... of preorder node 0
+  EncodeU32(1, &image);  // groups
+  EncodeTuple(Tuple({Value(int64_t{1})}), &image);
+  EncodeI64(1, &image);  // rows
+  EncodeU32(nrun, &image);
+  if (nrun != 1) return image;
+  EncodeI64(1, &image);          // count
+  EncodeF64(0.0, &image);        // sum
+  EncodeValue(Value(), &image);  // min
+  EncodeValue(Value(), &image);  // max
+  EncodeU32(nord, &image);
+  if (nord != 1) return image;
+  EncodeU32(0, &image);  // empty MIN/MAX multiset
+  image.push_back(0);    // no materialised row
+  return image;
+}
+
+TEST(IncrementalPlanExecutorTest, RestoreRejectsInflatedAggregateCounts) {
+  std::vector<AggSpec> aggs;
+  aggs.push_back({AggregateKind::kCount, nullptr, "c"});
+  auto plan = *RelOp::Aggregate(RelOp::Scan(0, KV()), {0}, aggs);
+
+  // The well-formed image restores: the layout above is the real one.
+  IncrementalPlanExecutor good(plan, 1);
+  ASSERT_TRUE(good.RestoreState(OneGroupCountImage(1, 1)).ok());
+
+  // A group claiming 2^32-1 running states is rejected before anything is
+  // allocated for them.
+  const std::string inflated = OneGroupCountImage(0xffffffffu, 1);
+  ASSERT_LT(inflated.size(), 60u);
+  IncrementalPlanExecutor bad_run(plan, 1);
+  EXPECT_FALSE(bad_run.RestoreState(inflated).ok());
+
+  IncrementalPlanExecutor bad_ord(plan, 1);
+  EXPECT_FALSE(bad_ord.RestoreState(OneGroupCountImage(1, 0xffffffffu)).ok());
 }
 
 TEST(ContinuousQueryTest, ToStringDescribesQuery) {

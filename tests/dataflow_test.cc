@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "dataflow/executor.h"
-#include "dataflow/join_operator.h"
 #include "dataflow/operators.h"
 #include "dataflow/window_operator.h"
 
@@ -75,15 +74,23 @@ TEST(ExecutorTest, FlatMapAndProject) {
   EXPECT_EQ(out.at(0).tuple, Tuple({Value(int64_t{9})}));
 }
 
+/// Forwards both of its input ports: the smallest two-input node.
+class TwoInputOperator : public Operator {
+ public:
+  explicit TwoInputOperator(std::string name)
+      : Operator(std::move(name), /*num_input_ports=*/2) {}
+  Status ProcessElement(size_t, const StreamElement& element,
+                        const OperatorContext&, Collector* out) override {
+    out->Emit(element);
+    return Status::OK();
+  }
+};
+
 TEST(ExecutorTest, WatermarkMinCombiningOnTwoInputNode) {
   auto g = std::make_unique<DataflowGraph>();
   NodeId s1 = g->AddNode(std::make_unique<PassThroughOperator>("s1"));
   NodeId s2 = g->AddNode(std::make_unique<PassThroughOperator>("s2"));
-  StreamJoinConfig cfg;
-  cfg.left_keys = {0};
-  cfg.right_keys = {0};
-  cfg.time_bound = 100;
-  NodeId join = g->AddNode(std::make_unique<StreamJoinOperator>("join", cfg));
+  NodeId join = g->AddNode(std::make_unique<TwoInputOperator>("join"));
   ASSERT_TRUE(g->Connect(s1, join, 0).ok());
   ASSERT_TRUE(g->Connect(s2, join, 1).ok());
   PipelineExecutor exec(std::move(g));
@@ -274,54 +281,6 @@ TEST(WindowOperatorTest, SumAndAvgColumns) {
   ASSERT_EQ(out.num_records(), 1u);
   EXPECT_EQ(out.at(0).tuple[3], Value(30.0));
   EXPECT_EQ(out.at(0).tuple[4], Value(15.0));
-}
-
-TEST(JoinOperatorTest, IntervalEquiJoin) {
-  auto g = std::make_unique<DataflowGraph>();
-  NodeId s1 = g->AddNode(std::make_unique<PassThroughOperator>("s1"));
-  NodeId s2 = g->AddNode(std::make_unique<PassThroughOperator>("s2"));
-  StreamJoinConfig cfg;
-  cfg.left_keys = {0};
-  cfg.right_keys = {0};
-  cfg.time_bound = 5;
-  NodeId join = g->AddNode(std::make_unique<StreamJoinOperator>("join", cfg));
-  BoundedStream out;
-  NodeId sink = g->AddNode(std::make_unique<CollectSinkOperator>("sink", &out));
-  ASSERT_TRUE(g->Connect(s1, join, 0).ok());
-  ASSERT_TRUE(g->Connect(s2, join, 1).ok());
-  ASSERT_TRUE(g->Connect(join, sink).ok());
-  PipelineExecutor exec(std::move(g));
-
-  ASSERT_TRUE(exec.PushRecord(s1, T2(1, 100), 10).ok());
-  ASSERT_TRUE(exec.PushRecord(s2, T2(1, 200), 12).ok());  // within bound
-  ASSERT_TRUE(exec.PushRecord(s2, T2(1, 300), 20).ok());  // outside bound
-  ASSERT_TRUE(exec.PushRecord(s2, T2(2, 400), 11).ok());  // key mismatch
-
-  ASSERT_EQ(out.num_records(), 1u);
-  EXPECT_EQ(out.at(0).tuple, Tuple::Concat(T2(1, 100), T2(1, 200)));
-  EXPECT_EQ(out.at(0).timestamp, 12);
-}
-
-TEST(JoinOperatorTest, WatermarkEvictsState) {
-  StreamJoinConfig cfg;
-  cfg.left_keys = {0};
-  cfg.right_keys = {0};
-  cfg.time_bound = 5;
-  StreamJoinOperator op("join", cfg);
-  OperatorContext ctx;
-  class NullCollector : public Collector {
-   public:
-    void Emit(StreamElement) override {}
-  } sink;
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(op.ProcessElement(0, StreamElement::Record(T2(i, 0), i), ctx,
-                                  &sink)
-                    .ok());
-  }
-  EXPECT_EQ(op.StateSize(), 10u);
-  ASSERT_TRUE(op.OnWatermark(8, ctx, &sink).ok());
-  // Elements with ts + 5 < 8, i.e. ts < 3, evicted.
-  EXPECT_EQ(op.StateSize(), 7u);
 }
 
 TEST(CheckpointTest, RestoreReproducesPostCheckpointOutputs) {

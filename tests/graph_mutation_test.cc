@@ -68,24 +68,8 @@ TEST(GraphMutationTest, DeadNodesRejectEdgesAndRemoval) {
   ASSERT_TRUE(g.RemoveNode(b).ok());
   EXPECT_TRUE(g.Connect(a, b).IsInvalidArgument());
   EXPECT_TRUE(g.Connect(b, a).IsInvalidArgument());
-  EXPECT_TRUE(g.Disconnect(a, b).IsInvalidArgument());
   EXPECT_TRUE(g.RemoveNode(b).status().IsInvalidArgument());
   EXPECT_TRUE(g.RemoveNode(99).status().IsInvalidArgument());
-}
-
-TEST(GraphMutationTest, DisconnectRemovesSingleEdge) {
-  DataflowGraph g;
-  NodeId a = g.AddNode(Pass("a"));
-  NodeId b = g.AddNode(Pass("b"));
-  NodeId c = g.AddNode(Pass("c"));
-  ASSERT_TRUE(g.Connect(a, b).ok());
-  ASSERT_TRUE(g.Connect(a, c).ok());
-  ASSERT_TRUE(g.Disconnect(a, b).ok());
-  EXPECT_EQ(g.outputs(a).size(), 1u);
-  EXPECT_EQ(g.num_inputs(b), 0u);
-  EXPECT_EQ(g.num_inputs(c), 1u);
-  EXPECT_TRUE(g.Validate().ok());
-  EXPECT_TRUE(g.Disconnect(a, b).IsNotFound());
 }
 
 TEST(GraphMutationTest, ValidateCatchesCyclesAndArity) {

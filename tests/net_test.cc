@@ -286,13 +286,15 @@ TEST(EventLoopTest, DispatchesReadinessAndWakeTokens) {
   });
 
   ASSERT_EQ(write(fds[1], "ping", 4), 4);
+  // Two wakes from another thread before the loop runs coalesce into one
+  // delivery. Joining first keeps both ahead of the loop's eventfd read;
+  // a waker still running could straddle it and split the tokens.
   std::thread waker([&loop] {
-    // Two wakes before the handler runs coalesce into one delivery.
     loop.Wake(1);
     loop.Wake(2);
   });
-  loop.Run(/*tick_ms=*/10, nullptr);
   waker.join();
+  loop.Run(/*tick_ms=*/10, nullptr);
   EXPECT_EQ(read_back, "ping");
   EXPECT_EQ(tokens_seen, 3u);
   close(fds[0]);

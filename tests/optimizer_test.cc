@@ -293,37 +293,6 @@ TEST(CanonicalizeTest, DistinctPredicatesKeepDistinctFingerprints) {
             CanonFp(Bin(BinaryOp::kGe, Col(1), Lit(int64_t{5}))));
 }
 
-// --- Selectivity hints ---
-
-TEST(OptimizerTest, HintsOverrideStaticEstimates) {
-  auto eq = Eq(Col(0), Lit(int64_t{2}));    // static: 0.05
-  auto range = Gt(Col(1), Lit(int64_t{5}));  // static: 0.33
-  SelectivityHints hints;
-  hints[ExprFingerprint(*CanonicalizePredicate(eq))] = 0.95;
-  hints[ExprFingerprint(*CanonicalizePredicate(range))] = 0.01;
-  EXPECT_GT(EstimateSelectivity(*CanonicalizePredicate(eq), hints), 0.9);
-  EXPECT_LT(EstimateSelectivity(*CanonicalizePredicate(range), hints), 0.1);
-}
-
-TEST(OptimizerTest, HintsInvertReorderDecision) {
-  Catalog catalog = TwoStreamCatalog();
-  auto planned = *PlanSql(
-      "SELECT L.a FROM L WHERE L.a > 1 AND L.k = 2", catalog);
-  // Observed selectivity says the equality passes nearly everything and the
-  // range is razor sharp: the static order must invert.
-  OptimizerOptions opts;
-  opts.fuse_selections = false;
-  opts.selectivity_hints[CanonFp(Eq(Col(0), Lit(int64_t{2})))] = 0.99;
-  opts.selectivity_hints[CanonFp(Gt(Col(1), Lit(int64_t{1})))] = 0.01;
-  auto optimized = *OptimizePlan(planned.query.plan, opts);
-  const RelOp* cursor = optimized.get();
-  while (cursor->kind() != RelOpKind::kSelect) {
-    cursor = cursor->children()[0].get();
-  }
-  // Outermost (evaluated last) is now the equality.
-  EXPECT_NE(cursor->predicate()->ToString().find("="), std::string::npos);
-}
-
 // --- Projection merge ---
 
 TEST(OptimizerTest, MergesAdjacentProjections) {

@@ -152,43 +152,6 @@ TEST(ServiceSharingTest, SemanticallyEqualQueriesShareOneChain) {
   EXPECT_EQ(svc.NumOperators(), 0u);
 }
 
-TEST(ServiceSharingTest, SelectivityHintsRefreshFromObservedRates) {
-  // Register a filtering query, stream data through it, and the service can
-  // report the observed pass-rate EWMA keyed by canonical predicate — the
-  // feedback loop that re-seeds the optimizer's cost model.
-  ServiceConfig config;
-  MetricsRegistry metrics;
-  config.metrics = &metrics;
-  QueryService svc(TradesCatalog(), config);
-  auto id = svc.RegisterQuery(
-      "SELECT sym FROM trades [Range 100] WHERE price > 10");
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  auto sub = *svc.Subscribe(*id);
-
-  // 1 in 4 records passes the filter.
-  for (int64_t t = 1; t <= 40; ++t) {
-    ASSERT_TRUE(
-        svc.PushRecord("trades", Trade("a", t % 4 == 0 ? 20 : 5, 1), t).ok());
-  }
-  ASSERT_TRUE(svc.PushWatermark("trades", 100).ok());
-  std::vector<StreamElement> out;
-  Drain(sub, &out);
-
-  SelectivityHints observed = svc.ObservedSelectivityHints();
-  ASSERT_EQ(observed.size(), 1u);
-  const auto& [pred, sel] = *observed.begin();
-  // Keyed by the canonical expression IR of the filter stage.
-  EXPECT_NE(pred.find("(col 1"), std::string::npos) << pred;
-  EXPECT_GT(sel, 0.0);
-  EXPECT_LT(sel, 0.7);
-
-  // Refresh folds the observation into the registration-time hints.
-  EXPECT_EQ(svc.RefreshSelectivityHints(), 1u);
-  SelectivityHints current = svc.CurrentSelectivityHints();
-  ASSERT_EQ(current.count(pred), 1u);
-  EXPECT_EQ(current[pred], sel);
-}
-
 TEST(ServiceSharingTest, FiltersAreNotLiftedBelowTupleWindows) {
   // [Rows n] does not commute with filtering: last-2-then-filter differs
   // from filter-then-last-2. The filter must stay in the residual plan.

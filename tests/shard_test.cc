@@ -128,24 +128,6 @@ TEST(ShardPlannerTest, RejectsMultiInputOperators) {
   EXPECT_FALSE(stages.ok());
 }
 
-TEST(ShardPlannerTest, AnalyzeGraphPlacesExchangeOnlyOnKeyMismatch) {
-  DataflowGraph g;
-  NodeId src = g.AddNode(std::make_unique<PassThroughOperator>("src"));
-  NodeId win = g.AddNode(std::make_unique<WindowedAggregateOperator>(
-      "win", SumConfig({0}, 1, "sum")));
-  ASSERT_TRUE(g.Connect(src, win).ok());
-
-  auto unpartitioned = ShardPlanner::AnalyzeGraph(g, {});
-  ASSERT_TRUE(unpartitioned.ok()) << unpartitioned.status().ToString();
-  ASSERT_EQ(unpartitioned->size(), 1u);
-  EXPECT_EQ((*unpartitioned)[0].node, win);
-  EXPECT_EQ((*unpartitioned)[0].key, std::vector<size_t>({0}));
-
-  auto pre_partitioned = ShardPlanner::AnalyzeGraph(g, {{src, {0}}});
-  ASSERT_TRUE(pre_partitioned.ok());
-  EXPECT_TRUE(pre_partitioned->empty());
-}
-
 // --- hash split ------------------------------------------------------------
 
 TEST(HashExchangeTest, RowSplitRoutesRecordsAndBroadcastsWatermarks) {
@@ -637,7 +619,7 @@ TEST(ShardedServiceTest, ReplicasAgreeOnSharingAndRouting) {
 TEST(ShardedServiceTest, CanonicalSharingComposesWithSharding) {
   // Textually-different but semantically-equal queries must land on one
   // shared chain on EVERY replica (plan canonicalization composes with
-  // scale-out), and uniform hint refresh must keep replicas agreeing.
+  // scale-out), and later registrations must keep replicas agreeing.
   ShardedQueryService svc(3);
   ASSERT_TRUE(svc.RegisterStream("trades", TradesSchema(), {0}).ok());
   auto id1 = svc.RegisterQuery(
@@ -657,26 +639,13 @@ TEST(ShardedServiceTest, CanonicalSharingComposesWithSharding) {
     EXPECT_GE(fully_shared, base_ops - 2) << "replica " << r;
   }
 
-  // Uniform hint application keeps future registrations replica-identical.
-  SelectivityHints hints;
-  hints["(< (lit i 3) (col 1 \"$1\"))"] = 0.8;
-  svc.SetSelectivityHints(hints);
+  // A later registration lands identically on every replica.
   auto id3 = svc.RegisterQuery(
       "SELECT sym FROM trades [Range 20] WHERE price > 3 AND qty < 9");
   ASSERT_TRUE(id3.ok()) << id3.status().ToString();
   auto expected = svc.replica(0)->SharedRefCounts();
   for (size_t r = 1; r < svc.nshards(); ++r) {
     EXPECT_EQ(svc.replica(r)->SharedRefCounts(), expected) << "replica " << r;
-    EXPECT_EQ(svc.replica(r)->CurrentSelectivityHints(), hints)
-        << "replica " << r;
-  }
-  // RefreshSelectivityHints (replica 0 sampling) is a no-op without traffic
-  // but must still apply uniformly and not disturb agreement.
-  svc.RefreshSelectivityHints();
-  for (size_t r = 1; r < svc.nshards(); ++r) {
-    EXPECT_EQ(svc.replica(r)->CurrentSelectivityHints(),
-              svc.replica(0)->CurrentSelectivityHints())
-        << "replica " << r;
   }
 }
 
