@@ -24,16 +24,20 @@ threads) — the threaded core.
 --asan builds with AddressSanitizer (default build dir: build-asan) and
 runs the state/durability test binaries (ft, kvstore, snapshot, queue,
 and the sharded pipeline's checkpoint/restore), the types serde decoder,
-the net frame/buffer parsing, and the runtime and service tests that own
-the lifetime of result payloads shared between subscriptions — the
-buffers, byte decoders, file framing and shared rows the fault-tolerance,
-wire and fan-out layers hand around.
+the net frame/buffer parsing, the runtime and service tests that own
+the lifetime of result payloads shared between subscriptions, and the
+continuous-query and batch-equivalence tests whose plans fold window
+deltas from columns — the buffers, byte decoders, file framing, shared
+rows and columnar delta runs the fault-tolerance, wire, fan-out and plan
+layers hand around.
 --ubsan builds with UndefinedBehaviorSanitizer (default build dir:
 build-ubsan) and runs the columnar/typed-kernel test binaries (types,
-columnar, expr, batch equivalence, window equivalence, aggregates) —
-the typed column loops and grid arithmetic where signed overflow,
-misaligned reads, and bad casts would hide — plus the net and service
-tests, whose frame parser turns socket bytes into columnar batches.
+columnar, expr, batch equivalence, window equivalence, aggregates,
+continuous query) — the typed column loops, aggregate folds and grid
+arithmetic where signed overflow, misaligned reads, and bad casts would
+hide — plus the net and service tests, whose frame parser turns socket
+bytes into columnar batches, and the service recovery test, which
+restores plan state into a fresh service.
 --optimizer builds with AddressSanitizer (default build dir:
 build-optimizer) and runs the plan-optimizer equivalence suite — the
 randomized optimized-vs-naive checks plus the kill-switch sweep
@@ -87,11 +91,12 @@ if [[ "$ASAN" == 1 ]]; then
   echo "== build (asan) =="
   cmake --build "$BUILD_DIR" -j"$(nproc)" --target \
     ft_test kvstore_test snapshot_test state_test queue_test shard_test \
-    types_test net_test runtime_test service_test
+    types_test net_test runtime_test service_test continuous_query_test \
+    batch_equivalence_test
 
-  echo "== ctest (asan: ft/state/durability + serde + net framing + shared payloads) =="
+  echo "== ctest (asan: ft/state/durability + serde + net framing + shared payloads + plan folds) =="
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \
-    -R 'ft_test|kvstore_test|snapshot_test|state_test|queue_test|shard_test|types_test|net_test|runtime_test|service_test'
+    -R 'ft_test|kvstore_test|snapshot_test|state_test|queue_test|shard_test|types_test|net_test|runtime_test|service_test|continuous_query_test|batch_equivalence_test'
 
   echo "tier-1 asan check: OK"
   exit 0
@@ -142,11 +147,11 @@ if [[ "$UBSAN" == 1 ]]; then
   cmake --build "$BUILD_DIR" -j"$(nproc)" --target \
     types_test columnar_test expr_test aggregate_test \
     batch_equivalence_test window_operator_equivalence_test dataflow_test \
-    net_test service_test
+    net_test service_test continuous_query_test service_recovery_test
 
-  echo "== ctest (ubsan: columnar / typed kernels + socket ingest) =="
+  echo "== ctest (ubsan: columnar / typed kernels + socket ingest + plan restore) =="
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)" \
-    -R 'types_test|columnar_test|expr_test|aggregate_test|batch_equivalence_test|window_operator_equivalence_test|dataflow_test|net_test|service_test'
+    -R 'types_test|columnar_test|expr_test|aggregate_test|batch_equivalence_test|window_operator_equivalence_test|dataflow_test|net_test|service_test|continuous_query_test|service_recovery_test'
 
   echo "tier-1 ubsan check: OK"
   exit 0

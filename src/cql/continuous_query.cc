@@ -1,9 +1,11 @@
 #include "cql/continuous_query.h"
 
 #include <algorithm>
+#include <cstring>
 #include <iterator>
 #include <set>
 
+#include "cql/vector_eval.h"
 #include "types/serde.h"
 
 namespace cq {
@@ -110,57 +112,94 @@ Result<MultisetRelation> BabcockSellisResult(
   return acc;
 }
 
-// --- DeltaBuffer ---
+// --- RowIndex, DeltaBuffer, ColumnarDeltaBuffer ---
 
-void DeltaBuffer::Add(Tuple t, int64_t weight) {
-  if (weight == 0) return;
-  if (2 * (rows_.size() + 1) > slots_.size()) {
-    Rehash(std::max<size_t>(16, 2 * slots_.size()));
-  }
-  const uint64_t h = t.Hash();
-  const size_t mask = slots_.size() - 1;
-  for (size_t i = MixU64(h) & mask;; i = (i + 1) & mask) {
-    const uint32_t s = slots_[i];
-    if (s == 0) {
-      slots_[i] = static_cast<uint32_t>(rows_.size() + 1);
-      rows_.emplace_back(std::move(t), weight);
-      hashes_.push_back(h);
-      return;
-    }
-    if (hashes_[s - 1] == h && rows_[s - 1].first == t) {
-      rows_[s - 1].second += weight;
-      return;
-    }
-  }
-}
-
-void DeltaBuffer::Rehash(size_t capacity) {
-  // Room for every row the table admits before it grows again.
-  rows_.reserve(capacity / 2);
+void RowIndex::Rehash(size_t capacity) {
   hashes_.reserve(capacity / 2);
   slots_.assign(capacity, 0);
   const size_t mask = capacity - 1;
-  for (size_t r = 0; r < rows_.size(); ++r) {
+  for (size_t r = 0; r < hashes_.size(); ++r) {
     size_t i = MixU64(hashes_[r]) & mask;
     while (slots_[i] != 0) i = (i + 1) & mask;
     slots_[i] = static_cast<uint32_t>(r + 1);
   }
 }
 
-DeltaList DeltaBuffer::Take() {
-  const size_t distinct = rows_.size();
-  DeltaList out = std::move(rows_);
-  rows_.clear();
+void RowIndex::Clear() {
+  const size_t distinct = hashes_.size();
   hashes_.clear();
-  // Keep the table for the next batch unless this one was a rare spike.
   if (slots_.size() > 8 * std::max<size_t>(distinct, 16)) {
     slots_.clear();
   } else {
     std::fill(slots_.begin(), slots_.end(), 0u);
-    rows_.reserve(slots_.size() / 2);
   }
+}
+
+void DeltaBuffer::AddKeepingPosition(Tuple t, int64_t weight) {
+  const size_t r = index_.FindOrAdd(
+      t.Hash(), [&](size_t i) { return rows_[i].first == t; });
+  if (r == rows_.size()) {
+    rows_.emplace_back(std::move(t), weight);
+  } else {
+    rows_[r].second += weight;
+  }
+}
+
+DeltaList DeltaBuffer::Take() {
+  DeltaList out = std::move(rows_);
+  rows_.clear();
+  index_.Clear();
+  rows_.reserve(index_.capacity());
   std::erase_if(out, [](const auto& row) { return row.second == 0; });
   return out;
+}
+
+bool ColumnarDeltaBuffer::Accepts(const std::vector<Column>& cols,
+                                  size_t arity) const {
+  if (weights_.empty()) return true;
+  if (columns_.size() != arity || cols.size() < arity) return false;
+  for (size_t c = 0; c < arity; ++c) {
+    if (columns_[c].type() != cols[c].type()) return false;
+  }
+  return true;
+}
+
+void ColumnarDeltaBuffer::Add(const std::vector<Column>& cols, size_t arity,
+                              size_t i, int64_t weight) {
+  if (weight == 0) return;
+  if (weights_.empty()) {
+    // The buffer takes the run's column types, NULL-only columns included.
+    columns_.resize(arity);
+    for (size_t c = 0; c < arity; ++c) columns_[c].Clear(cols[c].type());
+  }
+  size_t h = Tuple::kHashSeed;
+  for (size_t c = 0; c < arity; ++c) h = HashCombine(h, cols[c].HashAt(i));
+  const size_t r = index_.FindOrAdd(h, [&](size_t row) {
+    for (size_t c = 0; c < arity; ++c) {
+      if (columns_[c].CompareAt(row, cols[c], i) != 0) return false;
+    }
+    return true;
+  });
+  if (r == weights_.size()) {
+    for (size_t c = 0; c < arity; ++c) columns_[c].AppendFrom(cols[c], i);
+    weights_.push_back(weight);
+  } else {
+    weights_[r] += weight;
+  }
+}
+
+DeltaList ColumnarDeltaBuffer::NonZeroRows() const {
+  DeltaList out;
+  for (size_t i = 0; i < weights_.size(); ++i) {
+    if (weights_[i] != 0) out.emplace_back(RowAt(i), weights_[i]);
+  }
+  return out;
+}
+
+void ColumnarDeltaBuffer::Clear() {
+  for (Column& c : columns_) c.Clear();
+  weights_.clear();
+  index_.Clear();
 }
 
 namespace {
@@ -224,6 +263,46 @@ bool ByTuple(const std::pair<Tuple, int64_t>& a,
   return a.first < b.first;
 }
 
+bool IsLinear(const RelOp* op) {
+  return op->kind() == RelOpKind::kSelect || op->kind() == RelOpKind::kProject;
+}
+
+/// The first positive-count value of a MIN (ascending) or MAX (descending)
+/// multiset, or nullptr when it has none.
+const Value* Extreme(const std::map<Value, int64_t>& ordered, bool min) {
+  if (min) {
+    for (const auto& [v, c] : ordered) {
+      if (c > 0) return &v;
+    }
+  } else {
+    for (auto it = ordered.rbegin(); it != ordered.rend(); ++it) {
+      if (it->second > 0) return &it->first;
+    }
+  }
+  return nullptr;
+}
+
+/// Same type and same bits: a row holding `a` and one holding `b` in its
+/// place are the same tuple to every hash and comparison.
+bool Identical(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case ValueType::kNull:
+      return true;
+    case ValueType::kBool:
+      return a.bool_value() == b.bool_value();
+    case ValueType::kInt64:
+      return a.int64_value() == b.int64_value();
+    case ValueType::kDouble: {
+      const double x = a.double_value(), y = b.double_value();
+      return std::memcmp(&x, &y, sizeof(x)) == 0;
+    }
+    case ValueType::kString:
+      return a.string_value() == b.string_value();
+  }
+  return false;
+}
+
 }  // namespace
 
 IncrementalPlanExecutor::IncrementalPlanExecutor(RelOpPtr plan,
@@ -233,10 +312,131 @@ IncrementalPlanExecutor::IncrementalPlanExecutor(RelOpPtr plan,
       num_inputs_(num_inputs),
       maintain_output_(maintain_output),
       scan_readers_(num_inputs, 0) {
-  if (plan_ != nullptr) {
-    MarkCachedNodes(plan_.get(), &cached_nodes_);
-    CountScans(plan_.get(), &scan_readers_);
+  if (plan_ == nullptr) return;
+  MarkCachedNodes(plan_.get(), &cached_nodes_);
+  CountScans(plan_.get(), &scan_readers_);
+  // The columnar shape: a Select/Project chain over the one slot's Scan,
+  // split at its Aggregate if it has one.
+  if (num_inputs_ != 1) return;
+  std::vector<const RelOp*> chain;
+  const RelOp* op = plan_.get();
+  while (true) {
+    if (IsLinear(op)) {
+      chain.push_back(op);
+    } else if (op->kind() == RelOpKind::kAggregate &&
+               columnar_.aggregate == nullptr) {
+      columnar_.aggregate = op;
+      columnar_.upper = std::move(chain);
+      chain.clear();
+    } else {
+      break;
+    }
+    op = op->children()[0].get();
   }
+  if (op->kind() != RelOpKind::kScan || op->input_index() != 0) return;
+  columnar_.lower = std::move(chain);
+  columnar_.covered = true;
+}
+
+bool IncrementalPlanExecutor::CanApplyColumnar(
+    std::span<const ValueType> types) const {
+  if (!columnar_.covered) return false;
+  if (!checked_ || !std::equal(types.begin(), types.end(),
+                               checked_types_.begin(), checked_types_.end())) {
+    checked_types_.assign(types.begin(), types.end());
+    checked_ = true;
+    checked_ok_ = CheckColumnarTypes(checked_types_);
+  }
+  return checked_ok_;
+}
+
+bool IncrementalPlanExecutor::CheckColumnarTypes(
+    std::vector<ValueType> t) const {
+  for (auto it = columnar_.lower.rbegin(); it != columnar_.lower.rend();
+       ++it) {
+    const RelOp* op = *it;
+    ValueType out;
+    if (op->kind() == RelOpKind::kSelect) {
+      if (!CanVectorize(*op->predicate(), t, &out)) return false;
+      continue;
+    }
+    if (RenamesOnly(*op)) continue;
+    std::vector<ValueType> next;
+    next.reserve(op->projections().size());
+    for (const ExprPtr& e : op->projections()) {
+      if (!CanVectorize(*e, t, &out)) return false;
+      next.push_back(out);
+    }
+    t = std::move(next);
+  }
+  const RelOp* agg = columnar_.aggregate;
+  if (agg == nullptr) return true;
+  for (size_t k : agg->group_indexes()) {
+    if (k >= t.size()) return false;
+  }
+  for (const AggSpec& a : agg->aggs()) {
+    if (a.input == nullptr) continue;
+    ValueType in;
+    if (!CanVectorize(*a.input, t, &in)) return false;
+    // SUM/AVG read the input as a number; the tuple path owns the rest.
+    const bool numeric = in == ValueType::kInt64 ||
+                         in == ValueType::kDouble || in == ValueType::kNull;
+    if ((a.kind == AggregateKind::kSum || a.kind == AggregateKind::kAvg) &&
+        !numeric) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Result<DeltaList> IncrementalPlanExecutor::ApplyColumnar(
+    const std::vector<Column>& cols, const std::vector<int64_t>& weights) {
+  const size_t n = weights.size();
+  // Rows the chain below the Aggregate keeps: non-zero weight, passing
+  // every Select. Projections swap the column set.
+  std::vector<uint8_t>& keep = scratch_.keep;
+  keep.resize(n);
+  for (size_t i = 0; i < n; ++i) keep[i] = weights[i] != 0 ? 1 : 0;
+  std::vector<Column>& projected = scratch_.projected;
+  const std::vector<Column>* cur = &cols;
+  for (auto it = columnar_.lower.rbegin(); it != columnar_.lower.rend();
+       ++it) {
+    const RelOp* op = *it;
+    if (op->kind() == RelOpKind::kSelect) {
+      const Column pass = EvalVector(*op->predicate(), *cur, n);
+      const bool typed = pass.type() == ValueType::kBool;
+      for (size_t i = 0; i < n; ++i) {
+        if (keep[i] &&
+            !(typed && !pass.IsNull(i) && pass.bool_data()[i] != 0)) {
+          keep[i] = 0;
+        }
+      }
+      continue;
+    }
+    if (RenamesOnly(*op)) continue;
+    std::vector<Column> next;
+    next.reserve(op->projections().size());
+    for (const ExprPtr& e : op->projections()) {
+      next.push_back(EvalVector(*e, *cur, n));
+    }
+    projected = std::move(next);
+    cur = &projected;
+  }
+
+  DeltaList delta;
+  if (columnar_.aggregate == nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!keep[i]) continue;
+      delta.emplace_back(TupleAt(*cur, cur->size(), i), weights[i]);
+    }
+  } else {
+    delta = DeltaAggregateColumns(columnar_.aggregate, *cur, weights, keep);
+    for (auto it = columnar_.upper.rbegin(); it != columnar_.upper.rend();
+         ++it) {
+      CQ_RETURN_NOT_OK(ApplyLinear(*it, &delta));
+    }
+  }
+  return Finish(std::move(delta));
 }
 
 Result<MultisetRelation> IncrementalPlanExecutor::ApplyDeltas(
@@ -260,6 +460,10 @@ Result<DeltaList> IncrementalPlanExecutor::Apply(
   }
   Batch batch{std::move(input_deltas), scan_readers_};
   CQ_ASSIGN_OR_RETURN(DeltaList delta, Propagate(plan_.get(), &batch));
+  return Finish(std::move(delta));
+}
+
+DeltaList IncrementalPlanExecutor::Finish(DeltaList delta) {
   // The one consolidation and sort per batch: each tuple once, in tuple
   // order, so a -old/+new pair for an unchanged row cancels here.
   for (auto& [t, w] : delta) net_.Add(std::move(t), w);
@@ -364,46 +568,171 @@ Tuple IncrementalPlanExecutor::GroupRow(const RelOp* op, const Tuple& key,
   vals.reserve(key.size() + aggs.size());
   vals.insert(vals.end(), key.values().begin(), key.values().end());
   for (size_t i = 0; i < aggs.size(); ++i) {
-    switch (aggs[i].kind) {
-      case AggregateKind::kCount:
-        vals.push_back(Value(g.running[i].count));
-        break;
-      case AggregateKind::kSum:
-        vals.push_back(g.running[i].count == 0 ? Value::Null()
-                                               : Value(g.running[i].sum));
-        break;
-      case AggregateKind::kAvg:
-        vals.push_back(g.running[i].count == 0
-                           ? Value::Null()
-                           : Value(g.running[i].sum /
-                                   static_cast<double>(g.running[i].count)));
-        break;
-      case AggregateKind::kMin: {
-        Value out = Value::Null();
-        for (const auto& [v, c] : g.ordered[i]) {
-          if (c > 0) {
-            out = v;
-            break;
-          }
-        }
-        vals.push_back(std::move(out));
-        break;
-      }
-      case AggregateKind::kMax: {
-        Value out = Value::Null();
-        for (auto it = g.ordered[i].rbegin(); it != g.ordered[i].rend();
-             ++it) {
-          if (it->second > 0) {
-            out = it->first;
-            break;
-          }
-        }
-        vals.push_back(std::move(out));
-        break;
-      }
-    }
+    vals.push_back(AggOutput(aggs[i].kind, g, i));
   }
   return Tuple(std::move(vals));
+}
+
+Value IncrementalPlanExecutor::AggOutput(AggregateKind kind,
+                                         const GroupState& g, size_t i) {
+  const AggState& a = g.running[i];
+  switch (kind) {
+    case AggregateKind::kCount:
+      return Value(a.count);
+    case AggregateKind::kSum:
+      return a.count == 0 ? Value::Null() : Value(a.sum);
+    case AggregateKind::kAvg:
+      return a.count == 0 ? Value::Null()
+                          : Value(a.sum / static_cast<double>(a.count));
+    case AggregateKind::kMin:
+    case AggregateKind::kMax: {
+      const Value* v = Extreme(g.ordered[i], kind == AggregateKind::kMin);
+      return v != nullptr ? *v : Value::Null();
+    }
+  }
+  return Value::Null();
+}
+
+bool IncrementalPlanExecutor::RowUnchanged(const RelOp* op,
+                                           const GroupState& g) {
+  const auto& aggs = op->aggs();
+  const size_t nkeys = g.row.size() - aggs.size();
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    if (!Identical(g.row[nkeys + i], AggOutput(aggs[i].kind, g, i))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool IncrementalPlanExecutor::ColumnKeyOf::Equals(const Tuple& key) const {
+  if (indexes->size() != key.size()) return false;
+  for (size_t j = 0; j < key.size(); ++j) {
+    if ((*cols)[(*indexes)[j]].CompareAt(row, key[j]) != 0) return false;
+  }
+  return true;
+}
+
+DeltaList IncrementalPlanExecutor::DeltaAggregateColumns(
+    const RelOp* op, const std::vector<Column>& cols,
+    const std::vector<int64_t>& weights, const std::vector<uint8_t>& keep) {
+  AggIndex& index = agg_indexes_[op];
+  const auto& aggs = op->aggs();
+  const auto& key_cols = op->group_indexes();
+  const bool global = key_cols.empty();
+  const size_t n = weights.size();
+
+  // Each aggregate's input as a column — a plain column reference reads
+  // the input column itself; null for COUNT(*), which counts every row
+  // (the tuple path's constant 1).
+  std::vector<Column>& computed = scratch_.computed;
+  std::vector<const Column*>& inputs = scratch_.inputs;
+  computed.resize(aggs.size());
+  inputs.assign(aggs.size(), nullptr);
+  for (size_t j = 0; j < aggs.size(); ++j) {
+    const Expr* e = aggs[j].input.get();
+    if (e == nullptr) continue;
+    if (e->kind() == Expr::Kind::kColumn) {
+      inputs[j] = &cols[static_cast<const ColumnRef*>(e)->index()];
+    } else {
+      computed[j] = EvalVector(*e, cols, n);
+      inputs[j] = &computed[j];
+    }
+  }
+  // Tuple::ProjectedHash of every row's group key, a column at a time.
+  std::vector<uint64_t>& key_hash = scratch_.key_hash;
+  key_hash.assign(n, Tuple::kHashSeed);
+  for (size_t k : key_cols) {
+    const Column& c = cols[k];
+    for (size_t i = 0; i < n; ++i) {
+      if (keep[i]) key_hash[i] = HashCombine(key_hash[i], c.HashAt(i));
+    }
+  }
+
+  std::vector<std::pair<const Tuple, GroupState>*>& touched = scratch_.touched;
+  touched.clear();
+  auto touch = [&](std::pair<const Tuple, GroupState>& entry) {
+    if (entry.second.touched) return;
+    entry.second.touched = true;
+    touched.push_back(&entry);
+  };
+  auto new_group = [&](Tuple key) -> std::pair<const Tuple, GroupState>& {
+    auto it = index.groups.try_emplace(std::move(key)).first;
+    it->second.running.resize(aggs.size());
+    it->second.ordered.resize(aggs.size());
+    return *it;
+  };
+  if (global && index.groups.empty()) touch(new_group(Tuple()));
+
+  // Fold in row order: the order the tuple path folds its deltas in, so
+  // floating-point sums round identically.
+  for (size_t i = 0; i < n; ++i) {
+    if (!keep[i]) continue;
+    const int64_t c = weights[i];
+    auto it = index.groups.find(ColumnKeyOf{&cols, &key_cols, i, key_hash[i]});
+    std::pair<const Tuple, GroupState>* entry;
+    if (it != index.groups.end()) {
+      entry = &*it;
+    } else {
+      std::vector<Value> key;
+      key.reserve(key_cols.size());
+      for (size_t k : key_cols) key.push_back(cols[k].ValueAt(i));
+      entry = &new_group(Tuple(std::move(key)));
+    }
+    GroupState& g = entry->second;
+    g.rows += c;
+    for (size_t j = 0; j < aggs.size(); ++j) {
+      const Column* in = inputs[j];
+      if (in != nullptr && in->IsNull(i)) continue;  // NULLs count nowhere
+      AggState& a = g.running[j];
+      switch (aggs[j].kind) {
+        case AggregateKind::kCount:
+          a.count += c;
+          break;
+        case AggregateKind::kSum:
+        case AggregateKind::kAvg: {
+          double v = 1.0;
+          if (in != nullptr) {
+            v = in->type() == ValueType::kInt64
+                    ? static_cast<double>(in->int64_data()[i])
+                    : in->double_data()[i];
+          }
+          a.count += c;
+          a.sum += static_cast<double>(c) * v;
+          break;
+        }
+        case AggregateKind::kMin:
+        case AggregateKind::kMax: {
+          auto& bucket = g.ordered[j];
+          auto [b, inserted] = bucket.try_emplace(
+              in != nullptr ? in->ValueAt(i) : Value(int64_t{1}), 0);
+          b->second += c;
+          if (b->second == 0) bucket.erase(b);
+          break;
+        }
+      }
+    }
+    touch(*entry);
+  }
+
+  DeltaList delta;
+  delta.reserve(2 * touched.size());
+  for (auto* entry : touched) {
+    GroupState& g = entry->second;
+    g.touched = false;
+    const bool keeps_row = global || g.rows > 0;
+    // An unchanged row's -old/+new pair would cancel in Finish: skip it.
+    if (keeps_row && g.has_row && RowUnchanged(op, g)) continue;
+    if (g.has_row) delta.emplace_back(std::move(g.row), -1);
+    if (keeps_row) {
+      g.row = GroupRow(op, entry->first, g);
+      g.has_row = true;
+      delta.emplace_back(g.row, 1);
+    } else {
+      index.groups.erase(index.groups.find(entry->first));
+    }
+  }
+  return delta;
 }
 
 Result<DeltaList> IncrementalPlanExecutor::DeltaAggregate(
@@ -491,6 +820,35 @@ Result<DeltaList> IncrementalPlanExecutor::DeltaAggregate(
   return delta;
 }
 
+Status IncrementalPlanExecutor::ApplyLinear(const RelOp* op,
+                                            DeltaList* delta) const {
+  if (op->kind() == RelOpKind::kSelect) {
+    const Expr& pred = *op->predicate();
+    size_t kept = 0;
+    for (size_t i = 0; i < delta->size(); ++i) {
+      CQ_ASSIGN_OR_RETURN(Value v, pred.Eval((*delta)[i].first));
+      if (!(v.is_bool() && v.bool_value())) continue;
+      if (kept != i) (*delta)[kept] = std::move((*delta)[i]);
+      ++kept;
+    }
+    delta->erase(delta->begin() + static_cast<std::ptrdiff_t>(kept),
+                 delta->end());
+    return Status::OK();
+  }
+  if (RenamesOnly(*op)) return Status::OK();
+  const auto& exprs = op->projections();
+  for (auto& row : *delta) {
+    std::vector<Value> vals;
+    vals.reserve(exprs.size());
+    for (const auto& e : exprs) {
+      CQ_ASSIGN_OR_RETURN(Value v, e->Eval(row.first));
+      vals.push_back(std::move(v));
+    }
+    row.first = Tuple(std::move(vals));
+  }
+  return Status::OK();
+}
+
 Result<DeltaList> IncrementalPlanExecutor::Propagate(const RelOp* op,
                                                      Batch* batch) {
   DeltaList delta;
@@ -508,33 +866,10 @@ Result<DeltaList> IncrementalPlanExecutor::Propagate(const RelOp* op,
       }
       break;
     }
-    case RelOpKind::kSelect: {
-      CQ_ASSIGN_OR_RETURN(delta, Propagate(op->children()[0].get(), batch));
-      const Expr& pred = *op->predicate();
-      size_t kept = 0;
-      for (size_t i = 0; i < delta.size(); ++i) {
-        CQ_ASSIGN_OR_RETURN(Value v, pred.Eval(delta[i].first));
-        if (!(v.is_bool() && v.bool_value())) continue;
-        if (kept != i) delta[kept] = std::move(delta[i]);
-        ++kept;
-      }
-      delta.erase(delta.begin() + static_cast<std::ptrdiff_t>(kept),
-                  delta.end());
-      break;
-    }
+    case RelOpKind::kSelect:
     case RelOpKind::kProject: {
       CQ_ASSIGN_OR_RETURN(delta, Propagate(op->children()[0].get(), batch));
-      if (RenamesOnly(*op)) break;
-      const auto& exprs = op->projections();
-      for (auto& row : delta) {
-        std::vector<Value> vals;
-        vals.reserve(exprs.size());
-        for (const auto& e : exprs) {
-          CQ_ASSIGN_OR_RETURN(Value v, e->Eval(row.first));
-          vals.push_back(std::move(v));
-        }
-        row.first = Tuple(std::move(vals));
-      }
+      CQ_RETURN_NOT_OK(ApplyLinear(op, &delta));
       break;
     }
     case RelOpKind::kUnion: {

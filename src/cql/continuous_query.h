@@ -16,15 +16,25 @@
 ///    one-time query results over successive stream contents. Equal to the
 ///    CQL result exactly for monotonic queries (Barbara et al.) —
 ///    `BabcockSellisResult` lets tests and benches exhibit both sides.
+///
+/// The incremental side — `IncrementalPlanExecutor`, with `DeltaBuffer`
+/// consolidating its input — maintains the result per delta batch. A
+/// batch arrives as tuples or, for a one-slot Select/Project/Aggregate
+/// plan, as typed columns (`ColumnarDeltaBuffer`, `ApplyColumnar`), which
+/// are folded without building a tuple per input row; both forms yield
+/// the same output delta and the same state bytes.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "common/time.h"
 #include "cql/plan.h"
@@ -32,6 +42,7 @@
 #include "cql/s2r.h"
 #include "relation/relation.h"
 #include "stream/stream.h"
+#include "types/column.h"
 
 namespace cq {
 
@@ -93,6 +104,45 @@ Result<MultisetRelation> BabcockSellisResult(
 /// Project, Union) never need net counts, so they never pay to consolidate.
 using DeltaList = std::vector<std::pair<Tuple, int64_t>>;
 
+/// \brief The consolidation table of DeltaBuffer and ColumnarDeltaBuffer:
+/// an open-addressing index from row hashes to row positions 0, 1, ... in
+/// first-arrival order. The buffer owns the rows; the index only finds them.
+class RowIndex {
+ public:
+  /// \brief The position of the row with hash `h` for which `equal(pos)`
+  /// holds, or, when there is none, a new position (the old row count) that
+  /// the caller must fill by appending the row.
+  template <typename Equal>
+  size_t FindOrAdd(uint64_t h, Equal equal) {
+    if (2 * (hashes_.size() + 1) > slots_.size()) {
+      Rehash(std::max<size_t>(16, 2 * slots_.size()));
+    }
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = MixU64(h) & mask;; i = (i + 1) & mask) {
+      const uint32_t s = slots_[i];
+      if (s == 0) {
+        slots_[i] = static_cast<uint32_t>(hashes_.size() + 1);
+        hashes_.push_back(h);
+        return hashes_.size() - 1;
+      }
+      if (hashes_[s - 1] == h && equal(s - 1)) return s - 1;
+    }
+  }
+
+  /// \brief Rows the table admits before it grows again.
+  size_t capacity() const { return slots_.size() / 2; }
+
+  /// \brief Forgets every row, keeping the table for the next batch unless
+  /// this one was a rare spike.
+  void Clear();
+
+ private:
+  void Rehash(size_t capacity);
+
+  std::vector<uint64_t> hashes_;  // hash of row i
+  std::vector<uint32_t> slots_;   // linear probing; 0 = empty, else i + 1
+};
+
 /// \brief A hashed Z-set accumulator that remembers first-arrival order.
 ///
 /// Add() costs one hash probe, so a +1 and a -1 for the same tuple cancel
@@ -102,7 +152,14 @@ using DeltaList = std::vector<std::pair<Tuple, int64_t>>;
 class DeltaBuffer {
  public:
   /// \brief Adds `weight` copies of `t` (weight may be negative).
-  void Add(Tuple t, int64_t weight);
+  void Add(Tuple t, int64_t weight) {
+    if (weight != 0) AddKeepingPosition(std::move(t), weight);
+  }
+
+  /// \brief Add, except that a zero weight still buffers `t` (at net
+  /// weight 0), so `t` holds its first-arrival position — what moving the
+  /// rows of another consolidated buffer in, one by one, needs.
+  void AddKeepingPosition(Tuple t, int64_t weight);
 
   /// \brief Buffered rows with their net weights, zero weights included.
   const DeltaList& rows() const { return rows_; }
@@ -111,11 +168,54 @@ class DeltaBuffer {
   DeltaList Take();
 
  private:
-  void Rehash(size_t capacity);
-
   DeltaList rows_;
-  std::vector<uint64_t> hashes_;  // Tuple::Hash of rows_[i]
-  std::vector<uint32_t> slots_;   // linear probing; 0 = empty, else i + 1
+  RowIndex index_;  // keyed by Tuple::Hash
+};
+
+/// \brief DeltaBuffer over typed columns: the same consolidation, with rows
+/// hashed and compared straight from the columns they arrive in.
+///
+/// A row merges into a buffered row exactly when DeltaBuffer would merge
+/// their tuples (equal Tuple::Hash, Value-equal columns), so the buffered
+/// rows, their net weights and their first-arrival order are those a
+/// DeltaBuffer holds for the same input. The buffer keeps one column per
+/// tuple position, typed as the first run it took; only runs of exactly
+/// those types can join.
+class ColumnarDeltaBuffer {
+ public:
+  bool empty() const { return weights_.empty(); }
+  size_t size() const { return weights_.size(); }
+
+  /// \brief Whether rows of the first `arity` columns of `cols` can join:
+  /// the buffer is empty, or has that arity and those column types.
+  bool Accepts(const std::vector<Column>& cols, size_t arity) const;
+
+  /// \brief Adds `weight` copies of row `i` of the first `arity` columns
+  /// of `cols`. Precondition: Accepts(cols, arity).
+  void Add(const std::vector<Column>& cols, size_t arity, size_t i,
+           int64_t weight);
+
+  /// \brief Buffered rows, one column per tuple position.
+  const std::vector<Column>& columns() const { return columns_; }
+  /// \brief Net weight of each buffered row, zero weights included.
+  const std::vector<int64_t>& weights() const { return weights_; }
+
+  /// \brief Buffered row `i` as a tuple.
+  Tuple RowAt(size_t i) const {
+    return TupleAt(columns_, columns_.size(), i);
+  }
+
+  /// \brief The rows with non-zero net weight, as tuples in arrival order.
+  DeltaList NonZeroRows() const;
+
+  /// \brief Empties the buffer, keeping its storage for the next batch
+  /// (unless this one was a rare spike).
+  void Clear();
+
+ private:
+  std::vector<Column> columns_;
+  std::vector<int64_t> weights_;
+  RowIndex index_;  // keyed by Tuple::Hash
 };
 
 /// \brief Incremental delta executor (Barbara et al.'s rewriting, §3.2, and
@@ -145,6 +245,16 @@ class DeltaBuffer {
 /// The plan's output delta is consolidated once per batch and sorted by
 /// tuple, so callers see the same rows in the same order as an ordered
 /// Z-set would give them.
+///
+/// A one-slot plan of Select/Project nodes over its Scan, with at most one
+/// Aggregate among them, also takes its input delta as columns
+/// (ApplyColumnar). Below the Aggregate (or through the whole chain) the
+/// rows never become tuples: selections and projections run through
+/// cql/vector_eval, group keys are hashed and compared in the columns, and
+/// COUNT/SUM/AVG fold from the typed values. A group whose output row
+/// comes out unchanged emits nothing and builds no row — the -old/+new pair
+/// the tuple path builds for it cancels in the consolidation anyway. The
+/// output rows and every byte of state match Apply on the same deltas.
 class IncrementalPlanExecutor {
  public:
   /// \brief `maintain_output` keeps the accumulated output
@@ -162,6 +272,25 @@ class IncrementalPlanExecutor {
   /// them. Returns the output delta consolidated: each tuple once, non-zero
   /// weight, ascending tuple order.
   Result<DeltaList> Apply(std::vector<DeltaList> input_deltas);
+
+  /// \brief Whether the plan has the shape ApplyColumnar folds: a one-slot
+  /// Select/Project chain with at most one Aggregate.
+  bool HasColumnarShape() const { return columnar_.covered; }
+
+  /// \brief Whether ApplyColumnar covers this plan for input columns of
+  /// types `types`: a one-slot Select/Project chain with at most one
+  /// Aggregate, whose expressions below the Aggregate vectorize (and cannot
+  /// fail) over those types, and whose SUM/AVG inputs are numeric. The
+  /// verdict for the last types seen is kept, as batches mostly repeat them.
+  bool CanApplyColumnar(std::span<const ValueType> types) const;
+
+  /// \brief Apply for the one slot's delta given as columns: row i of
+  /// `cols` with weight `weights[i]`, rows in first-arrival order, weights
+  /// net per distinct row (zero weights are skipped) — the image of a
+  /// DeltaBuffer. Same result and same state as Apply on those rows.
+  /// Precondition: CanApplyColumnar on the types of `cols`.
+  Result<DeltaList> ApplyColumnar(const std::vector<Column>& cols,
+                                  const std::vector<int64_t>& weights);
 
   /// \brief Accumulated output after all deltas applied so far (empty when
   /// constructed with maintain_output = false).
@@ -210,12 +339,22 @@ class IncrementalPlanExecutor {
     const Tuple* t;
     const std::vector<size_t>* indexes;
   };
+  /// A group key as row `row` of columns, with its precomputed
+  /// Tuple::Hash.
+  struct ColumnKeyOf {
+    const std::vector<Column>* cols;
+    const std::vector<size_t>* indexes;
+    size_t row;
+    uint64_t hash;
+    bool Equals(const Tuple& key) const;
+  };
   struct GroupKeyHash {
     using is_transparent = void;
     size_t operator()(const Tuple& key) const { return key.Hash(); }
     size_t operator()(const KeyOf& k) const {
       return k.t->ProjectedHash(*k.indexes);
     }
+    size_t operator()(const ColumnKeyOf& k) const { return k.hash; }
   };
   struct GroupKeyEq {
     using is_transparent = void;
@@ -225,6 +364,12 @@ class IncrementalPlanExecutor {
     }
     bool operator()(const Tuple& a, const KeyOf& b) const {
       return b.t->ProjectionEquals(*b.indexes, a);
+    }
+    bool operator()(const ColumnKeyOf& a, const Tuple& b) const {
+      return a.Equals(b);
+    }
+    bool operator()(const Tuple& a, const ColumnKeyOf& b) const {
+      return b.Equals(a);
     }
   };
   using GroupMap =
@@ -240,14 +385,38 @@ class IncrementalPlanExecutor {
     std::vector<size_t> readers_left;
   };
 
+  /// The plan as ApplyColumnar sees it; `covered` false when it is not a
+  /// one-slot Select/Project chain with at most one Aggregate.
+  struct ColumnarShape {
+    bool covered = false;
+    std::vector<const RelOp*> upper;  // above the Aggregate, root first
+    const RelOp* aggregate = nullptr;
+    std::vector<const RelOp*> lower;  // below it (or the chain), root first
+  };
+  bool CheckColumnarTypes(std::vector<ValueType> types) const;
+
   Result<DeltaList> Propagate(const RelOp* op, Batch* batch);
+  /// Select / Project over a delta list of tuples, in place.
+  Status ApplyLinear(const RelOp* op, DeltaList* delta) const;
+  /// The one consolidation and sort of a batch's output delta.
+  DeltaList Finish(DeltaList delta);
   Result<DeltaList> DeltaJoin(const RelOp* op, const DeltaList& dl,
                               const DeltaList& dr);
   Result<DeltaList> DeltaThetaJoin(const RelOp* op, const DeltaList& dl,
                                    const DeltaList& dr);
   Result<DeltaList> DeltaAggregate(const RelOp* op, const DeltaList& dc);
+  /// DeltaAggregate over rows of `cols` with `keep` set, weighted by
+  /// `weights`, in row order.
+  DeltaList DeltaAggregateColumns(const RelOp* op,
+                                  const std::vector<Column>& cols,
+                                  const std::vector<int64_t>& weights,
+                                  const std::vector<uint8_t>& keep);
   Tuple GroupRow(const RelOp* op, const Tuple& key,
                  const GroupState& g) const;
+  /// Aggregate `i`'s output value for group state `g`.
+  static Value AggOutput(AggregateKind kind, const GroupState& g, size_t i);
+  /// Whether GroupRow(op, key, g) would equal g.row bit for bit.
+  static bool RowUnchanged(const RelOp* op, const GroupState& g);
 
   RelOpPtr plan_;
   size_t num_inputs_;
@@ -263,6 +432,21 @@ class IncrementalPlanExecutor {
   std::map<const RelOp*, AggIndex> agg_indexes_;
   /// Nodes whose accumulated output is actually consumed by a parent rule.
   std::set<const RelOp*> cached_nodes_;
+  ColumnarShape columnar_;
+  /// CanApplyColumnar's last verdict and the types it was given.
+  mutable bool checked_ = false;
+  mutable std::vector<ValueType> checked_types_;
+  mutable bool checked_ok_ = false;
+  /// ApplyColumnar's working vectors, kept to reuse their storage.
+  struct ColumnarScratch {
+    std::vector<uint8_t> keep;
+    std::vector<Column> projected;
+    std::vector<Column> computed;
+    std::vector<const Column*> inputs;
+    std::vector<uint64_t> key_hash;
+    std::vector<std::pair<const Tuple, GroupState>*> touched;
+  };
+  ColumnarScratch scratch_;
 };
 
 }  // namespace cq

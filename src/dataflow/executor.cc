@@ -1,6 +1,7 @@
 #include "dataflow/executor.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/trace.h"
 #include "types/serde.h"
@@ -41,7 +42,9 @@ class PipelineExecutor::NodeFrame {
     }
     if (m_ != nullptr || traced_) {
       exec_->child_time_ns_.push_back(0);
-      t0_ = MonotonicNanos();
+      t0_ = exec_->frame_start_ns_ != 0
+                ? std::exchange(exec_->frame_start_ns_, 0)
+                : MonotonicNanos();
     }
   }
   NodeFrame(const NodeFrame&) = delete;
@@ -263,10 +266,17 @@ Status PipelineExecutor::PushBatch(NodeId source, const StreamBatch& batch) {
   if (!graph_->is_live(source)) {
     return Status::InvalidArgument("no such node");
   }
+  Status st;
   if (ColumnarReach(source)) {
+    // The transpose is the source's work: its frame starts here.
+    if (metrics_ != nullptr || TracingNow()) {
+      frame_start_ns_ = MonotonicNanos();
+    }
     Result<ColumnarBatch> columnar = ColumnarBatch::FromRows(batch);
     if (columnar.ok()) {
-      return DeliverColumnar(source, 0, std::move(*columnar));
+      st = DeliverColumnar(source, 0, &*columnar, /*owned=*/true);
+      frame_start_ns_ = 0;
+      return st;
     }
     // Ragged arity / mixed-type columns / in-band barrier: the converter
     // refused, so this batch rides the row path unchanged.
@@ -274,7 +284,9 @@ Status PipelineExecutor::PushBatch(NodeId source, const StreamBatch& batch) {
       node_metrics_[source].row_fallback_batches->Increment();
     }
   }
-  return DeliverSequence(source, 0, batch.elements().data(), batch.size());
+  st = DeliverSequence(source, 0, batch.elements().data(), batch.size());
+  frame_start_ns_ = 0;
+  return st;
 }
 
 Status PipelineExecutor::PushColumnar(NodeId source, ColumnarBatch batch) {
@@ -284,7 +296,7 @@ Status PipelineExecutor::PushColumnar(NodeId source, ColumnarBatch batch) {
   if (!ColumnarReach(source)) {
     return FallbackToRows(source, 0, batch);
   }
-  return DeliverColumnar(source, 0, std::move(batch));
+  return DeliverColumnar(source, 0, &batch, /*owned=*/true);
 }
 
 Status PipelineExecutor::FallbackToRows(NodeId node, size_t port,
@@ -297,28 +309,34 @@ Status PipelineExecutor::FallbackToRows(NodeId node, size_t port,
 }
 
 Status PipelineExecutor::DeliverColumnar(NodeId node, size_t port,
-                                         ColumnarBatch batch) {
+                                         ColumnarBatch* batch, bool owned) {
   Operator* op = graph_->node(node);
   const ColumnarSupport support = op->columnar_support();
+  // A chain node rewrites the batch in place: it takes an owned batch and
+  // a copy of a shared one. A consume node reads it where it lies.
+  auto chain_input = [&] {
+    return owned ? std::move(*batch) : ColumnarBatch(*batch);
+  };
   if (support == ColumnarSupport::kPassthrough) {
-    return DeliverColumnarChain(node, port, std::move(batch),
+    return DeliverColumnarChain(node, port, chain_input(),
                                 /*is_transform=*/false);
   }
   if (support != ColumnarSupport::kNone) {
-    std::vector<ValueType> in_types;
-    in_types.reserve(batch.num_columns());
-    for (const Column& c : batch.columns()) in_types.push_back(c.type());
-    if (op->CanProcessColumnar(in_types, nullptr)) {
+    // Scratch reused across calls: the check finishes before any delivery
+    // below recurses into this function.
+    in_types_.clear();
+    for (const Column& c : batch->columns()) in_types_.push_back(c.type());
+    if (op->CanProcessColumnar(in_types_, nullptr)) {
       if (support == ColumnarSupport::kConsume) {
-        return DeliverColumnarConsume(node, port, batch);
+        return DeliverColumnarConsume(node, port, *batch);
       }
       if (op->num_input_ports() == 1) {
-        return DeliverColumnarChain(node, port, std::move(batch),
+        return DeliverColumnarChain(node, port, chain_input(),
                                     /*is_transform=*/true);
       }
     }
   }
-  return FallbackToRows(node, port, batch);
+  return FallbackToRows(node, port, *batch);
 }
 
 Status PipelineExecutor::DeliverColumnarChain(NodeId node, size_t port,
@@ -389,11 +407,8 @@ Status PipelineExecutor::DeliverColumnarChain(NodeId node, size_t port,
     for (size_t ei = 0; ei < edges.size(); ++ei) {
       const auto& e = edges[ei];
       if (ColumnarReach(e.to)) {
-        if (ei + 1 == edges.size()) {
-          st = DeliverColumnar(e.to, e.port, std::move(batch));
-        } else {
-          st = DeliverColumnar(e.to, e.port, batch);
-        }
+        st = DeliverColumnar(e.to, e.port, &batch,
+                             /*owned=*/ei + 1 == edges.size());
       } else {
         if (!rows_built) {
           rows = batch.ToRows();
@@ -420,6 +435,7 @@ Status PipelineExecutor::DeliverColumnarConsume(NodeId node, size_t port,
   Status st = Status::OK();
   bool all_handled = true;
   std::vector<StreamElement> emitted;
+  ColumnarBatch run;
   size_t begin = 0;
   size_t mark_idx = 0;
   // Watermark-delimited segments through the kernel, full watermark
@@ -440,8 +456,7 @@ Status PipelineExecutor::DeliverColumnarConsume(NodeId node, size_t port,
         m->records_in->Increment(seg_selected);
         if (seg_max > m->max_event_ts) m->max_event_ts = seg_max;
       }
-      emitted.clear();
-      VectorCollector collector(&emitted);
+      VectorCollector collector(&emitted, &run);
       bool handled = false;
       st = op->ProcessColumnarSegment(port, batch, begin, end,
                                       ContextFor(node), &collector, &handled);
@@ -449,12 +464,12 @@ Status PipelineExecutor::DeliverColumnarConsume(NodeId node, size_t port,
         // Kernel declined this segment (unsupported configuration):
         // re-materialise just the segment and run it per element.
         all_handled = false;
-        StreamBatch rows;
+        std::vector<StreamElement> rows;
         batch.AppendRowsTo(&rows, begin, end);
-        st = ProcessEach(op, port, rows.elements().data(), rows.size(),
-                         ContextFor(node), &collector);
+        st = ProcessEach(op, port, rows.data(), rows.size(), ContextFor(node),
+                         &collector);
       }
-      if (st.ok()) st = ForwardRun(node, m, seg_selected, &emitted);
+      if (st.ok()) st = ForwardRun(node, m, seg_selected, &emitted, &run);
     }
     if (st.ok() && mark_idx < marks.size()) {
       st = DeliverWatermark(node, port, marks[mark_idx].ts);
@@ -494,9 +509,11 @@ Status PipelineExecutor::DeliverSequence(NodeId node, size_t port,
 
 Status PipelineExecutor::ForwardRun(NodeId node, NodeMetrics* m,
                                     size_t records_in,
-                                    std::vector<StreamElement>* emitted) {
+                                    std::vector<StreamElement>* emitted,
+                                    ColumnarBatch* run) {
+  const bool columnar = run->num_rows() > 0;
   if (m != nullptr) {
-    size_t records_out = 0;
+    size_t records_out = run->SelectedCount();
     for (const auto& e : *emitted) {
       if (e.is_record()) ++records_out;
     }
@@ -504,12 +521,25 @@ Status PipelineExecutor::ForwardRun(NodeId node, NodeMetrics* m,
     ObserveSelectivity(m, records_in, records_out);
   }
   // Each edge receives the full run, preserving per-element order along
-  // every path. Downstream spans parent to this node's span (the caller's
-  // open frame holds it as the active parent).
+  // every path. A columnar run goes to each child in columnar reach as
+  // columns (handed over whole to the last); the others share one row
+  // rendering of it. Downstream spans parent to this node's span (the
+  // caller's open frame holds it as the active parent).
   Status st;
-  for (const auto& e : graph_->outputs(node)) {
-    if (emitted->empty()) break;
-    st = DeliverSequence(e.to, e.port, emitted->data(), emitted->size());
+  const auto& edges = graph_->outputs(node);
+  bool rows_built = false;
+  for (size_t ei = 0; ei < edges.size(); ++ei) {
+    const auto& e = edges[ei];
+    if (columnar && ColumnarReach(e.to)) {
+      st = DeliverColumnar(e.to, e.port, run, /*owned=*/ei + 1 == edges.size());
+    } else {
+      if (columnar && !rows_built) {
+        run->AppendRowsTo(emitted, 0, run->num_rows());
+        rows_built = true;
+      }
+      if (emitted->empty()) break;
+      st = DeliverSequence(e.to, e.port, emitted->data(), emitted->size());
+    }
     if (!st.ok()) break;
   }
   // Destroy the run inside the caller's frame: with large runs the element
@@ -517,6 +547,7 @@ Status PipelineExecutor::ForwardRun(NodeId node, NodeMetrics* m,
   // whatever the caller does next (a trailing watermark would otherwise see
   // the whole unwind as unattributed latency).
   emitted->clear();
+  if (columnar) *run = ColumnarBatch();
   return st;
 }
 
@@ -527,7 +558,8 @@ Status PipelineExecutor::DeliverBatch(NodeId node, size_t port,
   NodeMetrics* m = metrics_ != nullptr ? &node_metrics_[node] : nullptr;
   Operator* op = graph_->node(node);
   std::vector<StreamElement> emitted;
-  VectorCollector collector(&emitted);
+  ColumnarBatch run;
+  VectorCollector collector(&emitted, &run);
   // Self time covers the per-node metric bookkeeping (O(count) scans) and
   // the routing glue.
   NodeFrame frame(this, m, op, TracingNow());
@@ -541,7 +573,7 @@ Status PipelineExecutor::DeliverBatch(NodeId node, size_t port,
   }
   // ctx.watermark is constant across the run: watermarks split runs.
   Status st = ProcessEach(op, port, data, count, ContextFor(node), &collector);
-  if (st.ok()) st = ForwardRun(node, m, count, &emitted);
+  if (st.ok()) st = ForwardRun(node, m, count, &emitted, &run);
   return st;
 }
 
@@ -570,11 +602,12 @@ Status PipelineExecutor::DeliverWatermarkImpl(NodeId node, size_t port,
 
   Operator* op = graph_->node(node);
   std::vector<StreamElement> emitted;
-  VectorCollector collector(&emitted);
+  ColumnarBatch run;
+  VectorCollector collector(&emitted, &run);
   NodeFrame frame(this, m, op, TracingNow(), /*watermark=*/true);
   Status st = op->OnWatermark(combined, ContextFor(node), &collector);
   // What the watermark released travels as one run, ahead of the mark.
-  if (st.ok()) st = ForwardRun(node, m, /*records_in=*/0, &emitted);
+  if (st.ok()) st = ForwardRun(node, m, /*records_in=*/0, &emitted, &run);
   if (st.ok() && forward) {
     // Forward the combined watermark downstream.
     for (const auto& e : graph_->outputs(node)) {
@@ -592,11 +625,12 @@ Status PipelineExecutor::AdvanceProcessingTime(Timestamp now) {
     NodeMetrics* m = metrics_ != nullptr ? &node_metrics_[id] : nullptr;
     Operator* op = graph_->node(id);
     std::vector<StreamElement> emitted;
-    VectorCollector collector(&emitted);
+    ColumnarBatch run;
+    VectorCollector collector(&emitted, &run);
     // Timing only: processing-time sweeps record no span of their own.
     NodeFrame frame(this, m, op, /*traced=*/false);
     CQ_RETURN_NOT_OK(op->OnProcessingTime(ContextFor(id), &collector));
-    CQ_RETURN_NOT_OK(ForwardRun(id, m, /*records_in=*/0, &emitted));
+    CQ_RETURN_NOT_OK(ForwardRun(id, m, /*records_in=*/0, &emitted, &run));
   }
   return Status::OK();
 }

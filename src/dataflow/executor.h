@@ -21,7 +21,10 @@
 /// split runs). On every path an operator call's emissions — a record
 /// run's ProcessElement calls, one OnWatermark, one OnProcessingTime — are
 /// buffered and forwarded downstream as one run, so a node opens one frame
-/// per run it receives, not one per element. For linear pipelines the
+/// per run it receives, not one per element. A consume kernel or an
+/// OnWatermark may emit its run as columns (Collector::EmitColumnar): the
+/// run then stays columnar for every child that can consume it, and is
+/// rendered to rows once for the others. For linear pipelines the
 /// granularities are output-identical; on fan-out each run is delivered
 /// whole to each downstream edge in edge order, so destinations see
 /// identical sequences but the interleaving *between* them follows runs,
@@ -197,14 +200,17 @@ class PipelineExecutor : public ft::Checkpointable {
   Status DeliverBatch(NodeId node, size_t port, const StreamElement* data,
                       size_t count);
   /// Charges a run's records_out and its out/in selectivity (none for
-  /// `records_in` 0), hands the node's buffered emissions to every
-  /// downstream edge and clears them. Call inside the node's frame.
+  /// `records_in` 0), hands the node's buffered emissions — rows in
+  /// `emitted`, or one columnar `run` — to every downstream edge and clears
+  /// them. Call inside the node's frame.
   Status ForwardRun(NodeId node, NodeMetrics* m, size_t records_in,
-                    std::vector<StreamElement>* emitted);
+                    std::vector<StreamElement>* emitted, ColumnarBatch* run);
   /// Columnar delivery: dispatches on the node's ColumnarSupport, falling
   /// back to row materialisation (ToRows + DeliverSequence) when the node
-  /// cannot consume the batch vectorized.
-  Status DeliverColumnar(NodeId node, size_t port, ColumnarBatch batch);
+  /// cannot consume the batch vectorized. With `owned` the callee may move
+  /// from `*batch`; otherwise a chain node works on a copy.
+  Status DeliverColumnar(NodeId node, size_t port, ColumnarBatch* batch,
+                         bool owned);
   /// kPassthrough/kTransform nodes: in-place transform, local watermark
   /// bookkeeping, whole-batch forwarding (columnar where reachable).
   Status DeliverColumnarChain(NodeId node, size_t port, ColumnarBatch batch,
@@ -234,6 +240,8 @@ class PipelineExecutor : public ft::Checkpointable {
   // Columnar delivery: whether a batch arriving at node n would be consumed
   // vectorized at n or downstream of it (recomputed on graph changes).
   std::vector<char> columnar_reach_;
+  // Column types of the batch DeliverColumnar is checking.
+  std::vector<ValueType> in_types_;
 
   MetricsRegistry* metrics_ = nullptr;
   std::vector<NodeMetrics> node_metrics_;
@@ -242,6 +250,9 @@ class PipelineExecutor : public ft::Checkpointable {
   // self time only. Unused unless metrics or an active trace require
   // per-delivery timing.
   std::vector<int64_t> child_time_ns_;
+  // When non-zero, the start of the next NodeFrame to open: PushBatch's
+  // row-to-column transpose is charged to the source node's frame.
+  int64_t frame_start_ns_ = 0;
 
   TraceRecorder* tracer_ = nullptr;
   // Context handed to operators via OperatorContext::trace. parent_span

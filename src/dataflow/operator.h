@@ -41,8 +41,10 @@ enum class ColumnarSupport : uint8_t {
   /// Mutates the columnar batch in place (filter narrows the selection,
   /// projection swaps the column set). Single-input operators only.
   kTransform,
-  /// Consumes columns and emits rows (aggregations, sinks, joins): the
-  /// executor feeds watermark-delimited segments to the kernel.
+  /// Consumes columns (windows, aggregations, plans): the executor feeds
+  /// watermark-delimited segments to the kernel. Emissions are rows, or
+  /// one columnar record run per call (Collector::EmitColumnar) that the
+  /// executor ships on as columns to every child that can consume it.
   kConsume,
 };
 
@@ -51,20 +53,36 @@ class Collector {
  public:
   virtual ~Collector() = default;
   virtual void Emit(StreamElement element) = 0;
+
+  /// \brief Emits a run of records held as columns (no watermarks), in
+  /// row order: the same elements as Emit on each selected row. The
+  /// default materialises the rows and Emits them one by one.
+  virtual void EmitColumnar(ColumnarBatch run);
 };
 
 /// \brief Collector that buffers emissions into a vector — the building
 /// block of batch-at-a-time delivery (the executor routes the buffered run
-/// downstream as one unit).
+/// downstream as one unit). With a `run` slot, a call's first emission may
+/// stay columnar there; any further emission turns the buffer into rows,
+/// in emission order.
 class VectorCollector : public Collector {
  public:
-  explicit VectorCollector(std::vector<StreamElement>* out) : out_(out) {}
+  explicit VectorCollector(std::vector<StreamElement>* out,
+                           ColumnarBatch* run = nullptr)
+      : out_(out), run_(run) {}
   void Emit(StreamElement element) override {
+    if (held_) SpillRun();
     out_->push_back(std::move(element));
   }
+  void EmitColumnar(ColumnarBatch run) override;
 
  private:
+  /// Moves the held columnar run into `out_` as rows.
+  void SpillRun();
+
   std::vector<StreamElement>* out_;
+  ColumnarBatch* run_;
+  bool held_ = false;  // *run_ holds this collector's emission
 };
 
 /// \brief Per-invocation context.

@@ -6,7 +6,17 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <chrono>
+
 namespace cq::net {
+
+namespace {
+int64_t NowNanos() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+}  // namespace
 
 EventLoop::~EventLoop() {
   if (wake_fd_ >= 0) ::close(wake_fd_);
@@ -83,8 +93,15 @@ void EventLoop::Run(int tick_ms, const std::function<void()>& tick) {
   running_ = true;
   constexpr int kMaxEvents = 128;
   epoll_event events[kMaxEvents];
+  const int64_t interval_ns = static_cast<int64_t>(tick_ms) * 1'000'000;
+  int64_t next_tick_ns = NowNanos() + interval_ns;
   while (running_) {
-    int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, tick_ms);
+    // Wait only for what is left of the tick interval, so a stream of
+    // events neither starves the tick nor runs it once per event.
+    const int64_t left_ns = next_tick_ns - NowNanos();
+    const int timeout_ms =
+        left_ns <= 0 ? 0 : static_cast<int>((left_ns + 999'999) / 1'000'000);
+    int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // fatal epoll failure: leave Run rather than spin
@@ -112,6 +129,9 @@ void EventLoop::Run(int tick_ms, const std::function<void()>& tick) {
       cb(events[i].events);
     }
     in_dispatch_ = false;
+    const int64_t now_ns = NowNanos();
+    if (now_ns < next_tick_ns) continue;
+    next_tick_ns = now_ns + interval_ns;
     if (running_ && tick) tick();
   }
 }

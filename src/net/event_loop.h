@@ -17,9 +17,10 @@
 /// Cross-thread (and async-signal-safe) interaction goes through one
 /// eventfd: Wake(token) is a single write(2) — legal from a signal handler —
 /// and the loop hands the token to the wake handler on its own thread. The
-/// loop also ticks: epoll_wait runs with a bounded timeout and invokes the
-/// tick handler between bursts, which is where token buckets refill and
-/// slow-consumer grace periods expire.
+/// loop also ticks: epoll_wait waits at most until the next tick is due,
+/// and the tick handler runs once per interval, not after every burst. The
+/// tick is where token buckets refill and slow-consumer grace periods
+/// expire.
 
 #include <cstdint>
 #include <functional>
@@ -54,8 +55,8 @@ class EventLoop {
   /// removed fd's still-queued events are dropped.
   void Remove(int fd);
 
-  /// \brief Runs until Stop(): dispatch ready fds, then call `tick` (if
-  /// set) at least every `tick_ms`.
+  /// \brief Runs until Stop(): dispatch ready fds, and call `tick` (if
+  /// set) each time `tick_ms` has passed since the previous call.
   void Run(int tick_ms, const std::function<void()>& tick);
 
   /// \brief Ends Run() after the current dispatch round (loop thread only;

@@ -588,16 +588,7 @@ void Server::HandleConnEvent(int fd, uint32_t events) {
       FlushIngest(conn, &run);
       // Commands that pushed data should reach push-mode listeners without
       // waiting a tick.
-      mux_.Pump(MonotonicNanos());
-      // The pump's evict handler may have closed connections — including
-      // this one (a LISTENer over the watermark past its grace). Re-resolve
-      // before touching `conn` again; no accept ran in between, so finding
-      // the fd means finding the same connection.
-      if (conns_.find(fd) == conns_.end()) return;
-      for (auto it2 = conns_.begin(); it2 != conns_.end();) {
-        Connection* other = (it2++)->second.get();  // flush may erase
-        if (other != conn && !other->wbuf_.empty()) FlushConnection(other);
-      }
+      if (!PumpMux(conn)) return;
     }
 
     if (!FlushConnection(conn)) return;
@@ -608,8 +599,30 @@ void Server::HandleConnEvent(int fd, uint32_t events) {
   }
 
   if (events & EPOLLOUT) {
+    const bool was_over = conn->wbuf_.size() > config_.write_high_watermark;
     if (!FlushConnection(conn)) return;
+    // The mux skips a LISTENer while it is over the watermark; once the
+    // socket takes it back under, resume its feeds now, not at the tick.
+    if (was_over && conn->wbuf_.size() <= config_.write_high_watermark) {
+      if (!PumpMux(conn)) return;
+      FlushConnection(conn);
+    }
   }
+}
+
+bool Server::PumpMux(Connection* conn) {
+  const int fd = conn->fd_;
+  mux_.Pump(MonotonicNanos());
+  // The pump's evict handler may have closed connections — including
+  // `conn` (a LISTENer over the watermark past its grace). Re-resolve
+  // before touching it again; no accept ran in between, so finding the fd
+  // means finding the same connection.
+  if (conns_.find(fd) == conns_.end()) return false;
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    Connection* other = (it++)->second.get();  // flush may erase
+    if (other != conn && !other->wbuf_.empty()) FlushConnection(other);
+  }
+  return true;
 }
 
 bool Server::FlushConnection(Connection* conn) {

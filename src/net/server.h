@@ -274,6 +274,9 @@ class Server {
   /// Flushes `conn`'s write buffer; arms/disarms EPOLLOUT as needed.
   /// Returns false when the connection died (and was closed).
   bool FlushConnection(Connection* conn);
+  /// Pumps the mux and flushes every other connection it wrote to (the
+  /// caller flushes `conn`). False when the pump evicted `conn`.
+  bool PumpMux(Connection* conn);
   void OnTick();
   void BeginDrain();
   /// Tick-driven drain progress check; stops the loop when flushed or the

@@ -106,6 +106,15 @@ Timestamp ColumnarBatch::MaxSelectedTimestamp() const {
   return m;
 }
 
+ColumnarBatch ColumnarBatch::FromColumns(std::vector<Column> columns,
+                                         std::vector<Timestamp> timestamps) {
+  ColumnarBatch out;
+  out.num_rows_ = timestamps.size();
+  out.columns_ = std::move(columns);
+  out.timestamps_ = std::move(timestamps);
+  return out;
+}
+
 Result<ColumnarBatch> ColumnarBatch::FromRows(const StreamBatch& rows) {
   ColumnarBatch out;
   out.timestamps_.reserve(rows.num_records());
@@ -145,10 +154,12 @@ StreamBatch ColumnarBatch::ToRows() const {
   return out;
 }
 
-void ColumnarBatch::AppendRowsTo(StreamBatch* out, size_t begin,
-                                 size_t end) const {
+void ColumnarBatch::AppendRowsTo(std::vector<StreamElement>* out,
+                                 size_t begin, size_t end) const {
   for (size_t i = begin; i < end; ++i) {
-    if (IsSelected(i)) out->AddRecord(RowAt(i), timestamps_[i]);
+    if (IsSelected(i)) {
+      out->push_back(StreamElement::Record(RowAt(i), timestamps_[i]));
+    }
   }
 }
 
@@ -174,29 +185,7 @@ Status ColumnarBatch::AppendGathered(const ColumnarBatch& src,
       bits &= bits - 1;
       if (i >= src.num_rows_) break;
       for (size_t c = 0; c < columns_.size(); ++c) {
-        const Column& s = src.columns_[c];
-        Column& d = columns_[c];
-        if (s.IsNull(i)) {
-          d.AppendNull();
-          continue;
-        }
-        switch (s.type()) {
-          case ValueType::kInt64:
-            d.AppendInt64(s.int64_data()[i]);
-            break;
-          case ValueType::kDouble:
-            d.AppendDouble(s.double_data()[i]);
-            break;
-          case ValueType::kBool:
-            d.AppendBool(s.bool_data()[i] != 0);
-            break;
-          case ValueType::kString:
-            d.AppendString(s.string_at(i));
-            break;
-          case ValueType::kNull:
-            d.AppendNull();
-            break;
-        }
+        columns_[c].AppendFrom(src.columns_[c], i);
       }
       timestamps_.push_back(src.timestamps_[i]);
       if (!selection_.empty()) {
@@ -211,10 +200,7 @@ Status ColumnarBatch::AppendGathered(const ColumnarBatch& src,
 }
 
 Tuple ColumnarBatch::RowAt(size_t i) const {
-  std::vector<Value> vals;
-  vals.reserve(columns_.size());
-  for (const Column& col : columns_) vals.push_back(col.ValueAt(i));
-  return Tuple(std::move(vals));
+  return TupleAt(columns_, columns_.size(), i);
 }
 
 size_t ColumnarBatch::ApproxBytes() const {

@@ -125,6 +125,12 @@ class ColumnarBatch {
 
   // --- Row interop -----------------------------------------------------
 
+  /// \brief A record run from whole columns: row i is column values i at
+  /// `timestamps[i]`, all selected, no watermarks. Precondition: every
+  /// column has timestamps.size() entries.
+  static ColumnarBatch FromColumns(std::vector<Column> columns,
+                                   std::vector<Timestamp> timestamps);
+
   /// \brief Converts a row batch. Fails (TypeError / InvalidArgument) on
   /// ragged arity, mixed-type columns, or in-band barriers; the caller then
   /// keeps the original row batch on the fallback path.
@@ -138,7 +144,8 @@ class ColumnarBatch {
   /// \brief Appends the selected records of row range [begin, end) to `out`
   /// (no watermarks) — used by consume-kernel fallbacks that re-materialise
   /// one watermark-delimited segment.
-  void AppendRowsTo(StreamBatch* out, size_t begin, size_t end) const;
+  void AppendRowsTo(std::vector<StreamElement>* out, size_t begin,
+                    size_t end) const;
 
   /// \brief Materialises row `i` as a Tuple.
   Tuple RowAt(size_t i) const;

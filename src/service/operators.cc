@@ -79,23 +79,41 @@ Status WindowDeltaOperator::ProcessColumnarSegment(
     return Status::OK();  // row-based windows: per-partition FIFO, row path
   }
   *handled = true;
+  // The admitted rows leave as one columnar delta run: the data columns
+  // plus a +1 sign column.
+  std::vector<uint32_t> admitted;
+  admitted.reserve(end - begin);
   for (size_t i = begin; i < end; ++i) {
     if (!batch.IsSelected(i)) continue;
-    const Timestamp ts = batch.timestamp(i);
-    if (spec_.kind == S2RKind::kUnbounded) {
-      out->Emit(StreamElement::Record(MakeDeltaTuple(batch.RowAt(i), 1), ts));
-      continue;
+    if (spec_.kind != S2RKind::kUnbounded) {
+      CQ_ASSIGN_OR_RETURN(TimeInterval validity,
+                          TupleValidity(spec_, batch.timestamp(i)));
+      if (validity.Empty() || validity.end <= ctx.watermark) {
+        ++dropped_late_;
+        if (late_drop_counter_ != nullptr) late_drop_counter_->Increment();
+        continue;
+      }
+      expiry_.emplace(validity.end, batch.RowAt(i));
     }
-    CQ_ASSIGN_OR_RETURN(TimeInterval validity, TupleValidity(spec_, ts));
-    if (validity.Empty() || validity.end <= ctx.watermark) {
-      ++dropped_late_;
-      if (late_drop_counter_ != nullptr) late_drop_counter_->Increment();
-      continue;
-    }
-    Tuple t = batch.RowAt(i);
-    out->Emit(StreamElement::Record(MakeDeltaTuple(t, 1), ts));
-    expiry_.emplace(validity.end, std::move(t));
+    admitted.push_back(static_cast<uint32_t>(i));
   }
+  if (admitted.empty()) return Status::OK();
+  std::vector<Column> cols;
+  cols.reserve(batch.num_columns() + 1);
+  for (const Column& src : batch.columns()) {
+    Column& col = cols.emplace_back(src.type());
+    col.Reserve(admitted.size());
+    for (uint32_t i : admitted) col.AppendFrom(src, i);
+  }
+  Column& sign = cols.emplace_back(ValueType::kInt64);
+  sign.Reserve(admitted.size());
+  std::vector<Timestamp> ts;
+  ts.reserve(admitted.size());
+  for (uint32_t i : admitted) {
+    sign.AppendInt64(1);
+    ts.push_back(batch.timestamp(i));
+  }
+  out->EmitColumnar(ColumnarBatch::FromColumns(std::move(cols), std::move(ts)));
   return Status::OK();
 }
 
@@ -104,12 +122,33 @@ Status WindowDeltaOperator::OnWatermark(Timestamp watermark,
                                         Collector* out) {
   // Expire every tuple whose validity interval [start, end) has fully
   // passed: end <= watermark. Emitted before the executor forwards the
-  // watermark, so downstream sees the expirations within the same instant.
-  auto it = expiry_.begin();
-  while (it != expiry_.end() && it->first <= watermark) {
-    out->Emit(StreamElement::Record(MakeDeltaTuple(it->second, -1), watermark));
-    it = expiry_.erase(it);
+  // watermark, so downstream sees the expirations within the same instant:
+  // as one columnar delta run (a -1 sign column), or as rows when the
+  // tuples do not fit one column set.
+  const auto last = expiry_.upper_bound(watermark);
+  if (last == expiry_.begin()) return Status::OK();
+  const size_t arity = expiry_.begin()->second.size();
+  std::vector<Column> cols(arity + 1);
+  size_t n = 0;
+  bool columnar = true;
+  for (auto it = expiry_.begin(); it != last && columnar; ++it, ++n) {
+    const Tuple& t = it->second;
+    columnar = t.size() == arity;
+    for (size_t c = 0; c < arity && columnar; ++c) {
+      columnar = cols[c].Append(t[c]).ok();
+    }
+    cols.back().AppendInt64(-1);
   }
+  if (columnar) {
+    out->EmitColumnar(ColumnarBatch::FromColumns(
+        std::move(cols), std::vector<Timestamp>(n, watermark)));
+  } else {
+    for (auto it = expiry_.begin(); it != last; ++it) {
+      out->Emit(
+          StreamElement::Record(MakeDeltaTuple(it->second, -1), watermark));
+    }
+  }
+  expiry_.erase(expiry_.begin(), last);
   return Status::OK();
 }
 
@@ -196,35 +235,69 @@ Status PlanDeltaOperator::ProcessElement(size_t port,
                                    std::to_string(port));
   }
   CQ_ASSIGN_OR_RETURN(auto split, SplitDeltaTuple(element.tuple));
+  if (!columnar_.empty()) SpillColumnar();
   pending_[port].Add(std::move(split.first), split.second);
   has_pending_ = true;
   return Status::OK();
 }
 
+Status PlanDeltaOperator::ProcessColumnarSegment(
+    size_t, const ColumnarBatch& batch, size_t begin, size_t end,
+    const OperatorContext&, Collector*, bool* handled) {
+  // CanProcessColumnar vouched for the plan (one slot) and the run's types.
+  const size_t arity = batch.num_columns() - 1;
+  const Column& sign = batch.column(arity);
+  // Runs join the slot's columns only while it holds no rows this
+  // interval; otherwise ProcessElement takes the run's rows, in order.
+  *handled = !sign.has_nulls() && pending_[0].rows().empty() &&
+             columnar_.Accepts(batch.columns(), arity);
+  if (!*handled) return Status::OK();
+  has_pending_ = true;
+  const int64_t* signs = sign.int64_data();
+  for (size_t i = begin; i < end; ++i) {
+    if (batch.IsSelected(i)) columnar_.Add(batch.columns(), arity, i, signs[i]);
+  }
+  return Status::OK();
+}
+
+void PlanDeltaOperator::SpillColumnar() {
+  for (size_t i = 0; i < columnar_.size(); ++i) {
+    pending_[0].AddKeepingPosition(columnar_.RowAt(i), columnar_.weights()[i]);
+  }
+  columnar_.Clear();
+}
+
 Status PlanDeltaOperator::OnWatermark(Timestamp watermark,
                                       const OperatorContext&, Collector* out) {
   if (!has_pending_) return Status::OK();
-  std::vector<DeltaList> batch;
-  batch.reserve(num_slots_);
-  for (DeltaBuffer& p : pending_) batch.push_back(p.Take());
   has_pending_ = false;
   // Consolidated and in ascending tuple order: emission order is the
   // tuple order, as the R2S operators define it over ordered relations.
-  CQ_ASSIGN_OR_RETURN(DeltaList delta, exec_.Apply(std::move(batch)));
+  DeltaList delta;
+  if (!columnar_.empty()) {
+    Result<DeltaList> applied =
+        exec_.ApplyColumnar(columnar_.columns(), columnar_.weights());
+    columnar_.Clear();
+    CQ_ASSIGN_OR_RETURN(delta, std::move(applied));
+  } else {
+    std::vector<DeltaList> batch;
+    batch.reserve(num_slots_);
+    for (DeltaBuffer& p : pending_) batch.push_back(p.Take());
+    CQ_ASSIGN_OR_RETURN(delta, exec_.Apply(std::move(batch)));
+  }
+  // `copies` of `row`, the last one moved.
+  auto emit = [&](Tuple& row, int64_t copies) {
+    for (int64_t i = 1; i < copies; ++i) {
+      out->Emit(StreamElement::Record(row, watermark));
+    }
+    if (copies > 0) out->Emit(StreamElement::Record(std::move(row), watermark));
+  };
   switch (output_) {
     case R2SKind::kIStream:
-      for (const auto& [row, mult] : delta) {
-        for (int64_t i = 0; i < mult; ++i) {
-          out->Emit(StreamElement::Record(row, watermark));
-        }
-      }
+      for (auto& [row, mult] : delta) emit(row, mult);
       return Status::OK();
     case R2SKind::kDStream:
-      for (const auto& [row, mult] : delta) {
-        for (int64_t i = 0; i < -mult; ++i) {
-          out->Emit(StreamElement::Record(row, watermark));
-        }
-      }
+      for (auto& [row, mult] : delta) emit(row, -mult);
       return Status::OK();
     case R2SKind::kRStream:
       for (const auto& [row, mult] : exec_.current_output().entries()) {
@@ -248,19 +321,19 @@ Status PlanDeltaOperator::OnWatermark(Timestamp watermark,
 Result<std::string> PlanDeltaOperator::SnapshotState() const {
   std::string out;
   EncodeU32(static_cast<uint32_t>(num_slots_), &out);
-  for (const DeltaBuffer& p : pending_) {
+  for (size_t slot = 0; slot < num_slots_; ++slot) {
     // Net-nonzero rows in tuple order: the bytes do not depend on the
-    // order the deltas arrived in.
-    std::vector<const std::pair<Tuple, int64_t>*> rows;
-    for (const auto& row : p.rows()) {
-      if (row.second != 0) rows.push_back(&row);
+    // order the deltas arrived in, nor on the path that buffered them.
+    DeltaList rows = slot == 0 ? columnar_.NonZeroRows() : DeltaList();
+    for (const auto& row : pending_[slot].rows()) {
+      if (row.second != 0) rows.push_back(row);
     }
     std::sort(rows.begin(), rows.end(),
-              [](const auto* a, const auto* b) { return a->first < b->first; });
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     EncodeU32(static_cast<uint32_t>(rows.size()), &out);
-    for (const auto* row : rows) {
-      EncodeTuple(row->first, &out);
-      EncodeI64(row->second, &out);
+    for (const auto& [t, c] : rows) {
+      EncodeTuple(t, &out);
+      EncodeI64(c, &out);
     }
   }
   out.push_back(has_pending_ ? 1 : 0);
@@ -278,6 +351,7 @@ Status PlanDeltaOperator::RestoreState(std::string_view snapshot) {
         std::to_string(slots) + " slots, operator has " +
         std::to_string(num_slots_));
   }
+  columnar_.Clear();
   for (DeltaBuffer& p : pending_) {
     p.Take();
     CQ_ASSIGN_OR_RETURN(uint32_t n, DecodeU32(&in));
@@ -304,6 +378,7 @@ size_t PlanDeltaOperator::StateSize() const {
   for (const DeltaBuffer& p : pending_) {
     for (const auto& row : p.rows()) n += row.second != 0 ? 1 : 0;
   }
+  for (int64_t w : columnar_.weights()) n += w != 0 ? 1 : 0;
   return n;
 }
 

@@ -13,12 +13,17 @@
 /// original tuple with one trailing INT64 sign column (+n / -n); the window
 /// operator produces deltas (insertions on arrival, expirations on
 /// watermark), the plan operator folds them through an
-/// IncrementalPlanExecutor and emits the query's output stream.
+/// IncrementalPlanExecutor and emits the query's output stream. On the
+/// batched path the deltas stay columns from the window to the plan's
+/// output: the window emits each run as a columnar batch (data columns
+/// plus the sign column), the plan folds it from the columns, and tuples
+/// are built only for the rows the query emits.
 
 #include <atomic>
 #include <deque>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,9 +50,9 @@ Result<std::pair<Tuple, int64_t>> SplitDeltaTuple(const Tuple& t);
 /// when the watermark passes (TupleValidity), Rows/PartitionedRows windows
 /// evict the oldest tuple immediately when a partition exceeds `n`,
 /// Unbounded windows never expire. Expiration deltas (-1) are emitted in
-/// OnWatermark before the watermark is forwarded downstream, so a
-/// downstream plan operator firing on that watermark sees a consistent
-/// window image. Records whose validity already fully precedes the
+/// OnWatermark, as one columnar run, before the watermark is forwarded
+/// downstream, so a downstream plan operator firing on that watermark sees
+/// a consistent window image. Records whose validity already fully precedes the
 /// watermark are dropped as late (counted).
 class WindowDeltaOperator : public Operator {
  public:
@@ -60,8 +65,10 @@ class WindowDeltaOperator : public Operator {
 
   /// \brief Columnar kernel for time-based windows (Range/Now/Unbounded):
   /// validity comes straight off the timestamp column, so late rows drop
-  /// without ever materialising a tuple; admitted rows materialise once.
-  /// Row-based windows (Rows/PartitionedRows) decline via *handled=false.
+  /// without ever materialising a tuple; the admitted rows leave as one
+  /// columnar delta run, and a Range/Now row materialises once, for its
+  /// expiry entry. Row-based windows (Rows/PartitionedRows) decline via
+  /// *handled=false.
   ColumnarSupport columnar_support() const override {
     return ColumnarSupport::kConsume;
   }
@@ -99,15 +106,29 @@ class WindowDeltaOperator : public Operator {
 /// \brief Residual R2R plan + R2S output as a streaming operator.
 ///
 /// Consumes per-slot window deltas (one input port per slot), buffers them
-/// in hashed per-slot DeltaBuffers (a +1 and a -1 for the same tuple cancel
-/// on arrival), and on each watermark advance moves the batch through an
-/// IncrementalPlanExecutor — per-update cost proportional to what the update
-/// touches — then emits the R2S rendering of the output change at that
-/// instant, in ascending tuple order: IStream emits insertions, DStream
+/// in hashed per-slot delta buffers (a +1 and a -1 for the same tuple
+/// cancel on arrival), and on each watermark advance moves the batch
+/// through an IncrementalPlanExecutor — per-update cost proportional to what
+/// the update touches — then emits the R2S rendering of the output change at
+/// that instant, in ascending tuple order: IStream emits insertions, DStream
 /// deletions, RStream the whole instantaneous result, and kRelation a signed
 /// changefeed (delta tuples with the trailing sign column, like its inputs).
 /// Only RStream reads the accumulated result, so only an RStream operator
 /// has its executor maintain it.
+///
+/// Two paths fill the buffer. ProcessElement, the reference, adds delta
+/// tuples to a slot's DeltaBuffer. For a one-slot Select/Project plan with
+/// at most one Aggregate, the columnar kernel adds the rows of a window's
+/// columnar delta run to a ColumnarDeltaBuffer instead, and at the
+/// watermark the executor folds them straight from the columns
+/// (IncrementalPlanExecutor::ApplyColumnar); a tuple is built only for a
+/// row that leaves the plan. Within one watermark interval the slot stays
+/// on one buffer: the kernel declines a run that arrives after rows, or
+/// whose column types differ from the runs before it, and a row arriving
+/// after runs first moves the buffered runs into the DeltaBuffer, in order.
+/// Plans of other shapes (joins, theta-joins, Distinct/Except/Intersect)
+/// and runs whose expressions do not vectorize take no columns: the
+/// executor renders them to rows for ProcessElement.
 class PlanDeltaOperator : public Operator {
  public:
   PlanDeltaOperator(std::string name, RelOpPtr plan, size_t num_slots,
@@ -117,6 +138,24 @@ class PlanDeltaOperator : public Operator {
                         const OperatorContext& ctx, Collector* out) override;
   Status OnWatermark(Timestamp watermark, const OperatorContext& ctx,
                      Collector* out) override;
+
+  /// \brief Columnar kernel: buffers a delta run (data columns plus the
+  /// trailing INT64 sign column) without building tuples. Offered only for
+  /// plans ApplyColumnar folds, and only runs whose types it folds.
+  ColumnarSupport columnar_support() const override {
+    return exec_.HasColumnarShape() ? ColumnarSupport::kConsume
+                                    : ColumnarSupport::kNone;
+  }
+  bool CanProcessColumnar(const std::vector<ValueType>& in_types,
+                          std::vector<ValueType>*) const override {
+    return !in_types.empty() && in_types.back() == ValueType::kInt64 &&
+           exec_.CanApplyColumnar(
+               std::span(in_types).first(in_types.size() - 1));
+  }
+  Status ProcessColumnarSegment(size_t port, const ColumnarBatch& batch,
+                                size_t begin, size_t end,
+                                const OperatorContext& ctx, Collector* out,
+                                bool* handled) override;
 
   /// The full incremental state round-trips: per-slot pending delta
   /// buffers plus the IncrementalPlanExecutor's accumulated output, node
@@ -129,10 +168,14 @@ class PlanDeltaOperator : public Operator {
   size_t StateBytesApprox() const override;
 
  private:
+  /// Moves the buffered runs into slot 0's DeltaBuffer, in order.
+  void SpillColumnar();
+
   R2SKind output_;
   size_t num_slots_;
   IncrementalPlanExecutor exec_;
-  std::vector<DeltaBuffer> pending_;  // per-slot buffered deltas
+  std::vector<DeltaBuffer> pending_;  // per-slot buffered delta tuples
+  ColumnarDeltaBuffer columnar_;  // slot 0's buffered runs
   bool has_pending_ = false;
 };
 

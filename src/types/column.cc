@@ -122,6 +122,132 @@ Value Column::ValueAt(size_t i) const {
   return Value::Null();
 }
 
+void Column::Clear(ValueType type) {
+  type_ = ValueType::kNull;
+  size_ = 0;
+  has_nulls_ = false;
+  nulls_.clear();
+  i64_.clear();
+  f64_.clear();
+  b8_.clear();
+  offsets_.clear();
+  chars_.clear();
+  EnsureType(type);
+}
+
+uint64_t Column::HashAt(size_t i) const {
+  if (IsNull(i)) return Value::HashNull();
+  switch (type_) {
+    case ValueType::kNull:
+      return Value::HashNull();
+    case ValueType::kBool:
+      return Value::HashBool(b8_[i] != 0);
+    case ValueType::kInt64:
+      return Value::HashInt64(i64_[i]);
+    case ValueType::kDouble:
+      return Value::HashDouble(f64_[i]);
+    case ValueType::kString:
+      return Value::HashString(string_at(i));
+  }
+  return Value::HashNull();
+}
+
+namespace {
+
+/// One scalar viewed in place, from a column row or a Value.
+struct ScalarView {
+  ValueType type = ValueType::kNull;
+  int64_t i = 0;
+  double d = 0.0;
+  std::string_view s;
+};
+
+ScalarView ViewOf(const Value& v) {
+  ScalarView out;
+  out.type = v.type();
+  switch (out.type) {
+    case ValueType::kBool:
+      out.i = v.bool_value() ? 1 : 0;
+      break;
+    case ValueType::kInt64:
+      out.i = v.int64_value();
+      break;
+    case ValueType::kDouble:
+      out.d = v.double_value();
+      break;
+    case ValueType::kString:
+      out.s = v.string_value();
+      break;
+    case ValueType::kNull:
+      break;
+  }
+  return out;
+}
+
+/// Value::Compare over views: numerics compare by value across INT64 and
+/// DOUBLE, other cross-type pairs by type tag.
+int CompareViews(const ScalarView& a, const ScalarView& b) {
+  auto numeric = [](ValueType t) {
+    return t == ValueType::kInt64 || t == ValueType::kDouble;
+  };
+  if (numeric(a.type) && numeric(b.type)) {
+    if (a.type == ValueType::kInt64 && b.type == ValueType::kInt64) {
+      return a.i < b.i ? -1 : (a.i > b.i ? 1 : 0);
+    }
+    const double x =
+        a.type == ValueType::kInt64 ? static_cast<double>(a.i) : a.d;
+    const double y =
+        b.type == ValueType::kInt64 ? static_cast<double>(b.i) : b.d;
+    return x < y ? -1 : (x > y ? 1 : 0);
+  }
+  if (a.type != b.type) {
+    return static_cast<int>(a.type) < static_cast<int>(b.type) ? -1 : 1;
+  }
+  switch (a.type) {
+    case ValueType::kBool:
+      return static_cast<int>(a.i - b.i);
+    case ValueType::kString: {
+      const int c = a.s.compare(b.s);
+      return c < 0 ? -1 : (c > 0 ? 1 : 0);
+    }
+    default:
+      return 0;  // NULLs; numerics handled above
+  }
+}
+
+ScalarView ViewAt(const Column& c, size_t i) {
+  ScalarView out;
+  if (c.IsNull(i)) return out;
+  out.type = c.type();
+  switch (out.type) {
+    case ValueType::kBool:
+      out.i = c.bool_data()[i] != 0 ? 1 : 0;
+      break;
+    case ValueType::kInt64:
+      out.i = c.int64_data()[i];
+      break;
+    case ValueType::kDouble:
+      out.d = c.double_data()[i];
+      break;
+    case ValueType::kString:
+      out.s = c.string_at(i);
+      break;
+    case ValueType::kNull:
+      break;
+  }
+  return out;
+}
+
+}  // namespace
+
+int Column::CompareAt(size_t i, const Value& v) const {
+  return CompareViews(ViewAt(*this, i), ViewOf(v));
+}
+
+int Column::CompareAt(size_t i, const Column& other, size_t j) const {
+  return CompareViews(ViewAt(*this, i), ViewAt(other, j));
+}
+
 void Column::EncodeValueAt(size_t i, std::string* out) const {
   if (IsNull(i) || type_ == ValueType::kNull) {
     out->push_back(static_cast<char>(ValueType::kNull));
@@ -171,6 +297,13 @@ bool Column::operator==(const Column& other) const {
     }
   }
   return true;
+}
+
+Tuple TupleAt(const std::vector<Column>& cols, size_t ncols, size_t i) {
+  std::vector<Value> vals;
+  vals.reserve(ncols);
+  for (size_t c = 0; c < ncols; ++c) vals.push_back(cols[c].ValueAt(i));
+  return Tuple(std::move(vals));
 }
 
 size_t Column::ApproxBytes() const {

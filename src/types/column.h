@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "types/tuple.h"
 #include "types/value.h"
 
 namespace cq {
@@ -77,6 +78,36 @@ class Column {
     ++size_;
   }
 
+  /// \brief Appends row `i` of `src`. Precondition: this column is untyped,
+  /// `src` is, or both have the same type.
+  void AppendFrom(const Column& src, size_t i) {
+    if (src.IsNull(i)) {
+      AppendNull();
+      return;
+    }
+    switch (src.type_) {
+      case ValueType::kInt64:
+        AppendInt64(src.i64_[i]);
+        break;
+      case ValueType::kDouble:
+        AppendDouble(src.f64_[i]);
+        break;
+      case ValueType::kBool:
+        AppendBool(src.b8_[i] != 0);
+        break;
+      case ValueType::kString:
+        AppendString(src.string_at(i));
+        break;
+      case ValueType::kNull:
+        AppendNull();
+        break;
+    }
+  }
+
+  /// \brief Empties the column, keeping its storage, and types it `type`
+  /// (kNull = untyped).
+  void Clear(ValueType type = ValueType::kNull);
+
   /// \brief Whether row `i` is NULL.
   bool IsNull(size_t i) const {
     return has_nulls_ && ((nulls_[i >> 6] >> (i & 63)) & 1) != 0;
@@ -96,6 +127,14 @@ class Column {
 
   /// \brief Materializes row `i` as a Value (row-fallback conversion).
   Value ValueAt(size_t i) const;
+
+  /// \brief `ValueAt(i).Hash()`, without materializing the Value.
+  uint64_t HashAt(size_t i) const;
+
+  /// \brief `ValueAt(i).Compare(v)` and `ValueAt(i).Compare(other.ValueAt(j))`
+  /// (Value's total order), without materializing a Value.
+  int CompareAt(size_t i, const Value& v) const;
+  int CompareAt(size_t i, const Column& other, size_t j) const;
 
   /// \brief Appends the serde encoding of row `i` to `out`, byte-identical
   /// to `EncodeValue(ValueAt(i), out)` but without materializing the Value —
@@ -133,6 +172,9 @@ class Column {
   std::vector<uint32_t> offsets_;  // strings: size_+1 entries once typed
   std::string chars_;              // strings: shared character buffer
 };
+
+/// \brief Row `i` of the first `ncols` of `cols` as a tuple.
+Tuple TupleAt(const std::vector<Column>& cols, size_t ncols, size_t i);
 
 }  // namespace cq
 

@@ -64,6 +64,11 @@ class Tuple {
   bool operator!=(const Tuple& other) const { return Compare(other) != 0; }
   bool operator<(const Tuple& other) const { return Compare(other) < 0; }
 
+  /// \brief The seed Hash() and ProjectedHash() fold each Value::Hash()
+  /// into with HashCombine; a key hashed straight from columns starts here
+  /// to land on the same hash as its tuple.
+  static constexpr size_t kHashSeed = 0x51ed270b;
+
   uint64_t Hash() const {
     size_t h = kHashSeed;
     for (const auto& v : values_) h = HashCombine(h, v.Hash());
@@ -99,8 +104,6 @@ class Tuple {
   }
 
  private:
-  static constexpr size_t kHashSeed = 0x51ed270b;
-
   std::vector<Value> values_;
 };
 

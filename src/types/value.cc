@@ -53,27 +53,29 @@ int Value::Compare(const Value& other) const {
 uint64_t Value::Hash() const {
   switch (type()) {
     case ValueType::kNull:
-      return 0x9ae16a3b2f90404fULL;
+      return HashNull();
     case ValueType::kBool:
-      return MixU64(bool_value() ? 2 : 1);
+      return HashBool(bool_value());
     case ValueType::kInt64:
-      return MixU64(static_cast<uint64_t>(int64_value()));
-    case ValueType::kDouble: {
-      // Hash doubles that are exact integers identically to the integer so
-      // that Compare-equal values hash equal (required by hash containers).
-      double d = double_value();
-      if (d == std::floor(d) && d >= -9.2e18 && d <= 9.2e18) {
-        return MixU64(static_cast<uint64_t>(static_cast<int64_t>(d)));
-      }
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-      return MixU64(bits);
-    }
+      return HashInt64(int64_value());
+    case ValueType::kDouble:
+      return HashDouble(double_value());
     case ValueType::kString:
-      return Fnv1a64(string_value());
+      return HashString(string_value());
   }
   return 0;
+}
+
+uint64_t Value::HashDouble(double d) {
+  // Hash doubles that are exact integers identically to the integer so
+  // that Compare-equal values hash equal (required by hash containers).
+  if (d == std::floor(d) && d >= -9.2e18 && d <= 9.2e18) {
+    return HashInt64(static_cast<int64_t>(d));
+  }
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(d));
+  __builtin_memcpy(&bits, &d, sizeof(bits));
+  return MixU64(bits);
 }
 
 std::string Value::ToString() const {

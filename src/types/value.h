@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "common/hash.h"
@@ -79,6 +80,16 @@ class Value {
 
   /// \brief Stable (cross-process reproducible) hash.
   uint64_t Hash() const;
+
+  /// \brief Hash() of a value of each kind, for hashing straight from
+  /// typed storage (columns) without building the Value.
+  static uint64_t HashNull() { return 0x9ae16a3b2f90404fULL; }
+  static uint64_t HashBool(bool b) { return MixU64(b ? 2 : 1); }
+  static uint64_t HashInt64(int64_t i) {
+    return MixU64(static_cast<uint64_t>(i));
+  }
+  static uint64_t HashDouble(double d);
+  static uint64_t HashString(std::string_view s) { return Fnv1a64(s); }
 
   /// \brief SQL-style rendering: NULL, true, 42, 3.5, 'text'.
   std::string ToString() const;

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "dataflow/executor.h"
@@ -12,6 +13,9 @@
 #include "dataflow/window_operator.h"
 #include "obs/metrics.h"
 #include "runtime/batch.h"
+#include "service/operators.h"
+#include "service/service.h"
+#include "sql/planner.h"
 #include "types/serde.h"
 
 namespace cq {
@@ -378,6 +382,334 @@ TEST(ColumnarEquivalenceTest, CoverageCountersDistinguishPaths) {
   EXPECT_GT(counter("cq_dataflow_vectorized_batches_total", "proj", "2"), 0u);
   EXPECT_GT(counter("cq_dataflow_vectorized_batches_total", "win", "3"), 0u);
   EXPECT_EQ(counter("cq_dataflow_row_fallback_batches_total", "win", "3"), 0u);
+}
+
+// --- Plan kernel: window deltas folded from columns ------------------------
+//
+// A registered query's plan operator buffers the window's columnar delta
+// runs and folds them straight from the columns. PushRecord/PushWatermark
+// bring the window's insertions to the plan as tuples (its expirations
+// still arrive as a columnar run; the row-only twin further down folds
+// every delta from tuples). Both must produce the same output sequences
+// and the same snapshot bytes at every point, including mid-instant.
+
+SchemaPtr KernelSchema() {
+  return Schema::Make({{"k", ValueType::kString},
+                       {"a", ValueType::kInt64},
+                       {"x", ValueType::kDouble},
+                       {"b", ValueType::kInt64}});
+}
+
+Catalog KernelCatalog() {
+  Catalog catalog;
+  EXPECT_TRUE(catalog.RegisterStream("s", KernelSchema()).ok());
+  return catalog;
+}
+
+/// Records over small domains with ~1/8 NULLs, some repeated at once (so
+/// one interval holds duplicates), DOUBLEs of mixed magnitude (so a sum
+/// folded in another order rounds differently), a little disorder (some
+/// records arrive late), and watermarks at irregular gaps (so short
+/// windows admit and expire a tuple within one interval).
+std::vector<StreamElement> RandomDeltaInput(uint32_t seed, size_t n) {
+  std::mt19937 rng(seed);
+  const char* keys[] = {"p", "q", "r"};
+  const double xs[] = {0.1, 0.2, 0.3, 1e16, -1e16, 2.5, -0.7};
+  std::vector<StreamElement> in;
+  Timestamp max_ts = 0, last_wm = -1;
+  Tuple last;
+  for (size_t i = 0; i < n; ++i) {
+    const Timestamp ts =
+        static_cast<Timestamp>(i) + static_cast<Timestamp>(rng() % 4) - 1;
+    max_ts = std::max(max_ts, ts);
+    Tuple t;
+    if (i > 0 && rng() % 5 == 0) {
+      t = last;
+    } else {
+      t = Tuple({rng() % 10 == 0 ? Value() : Value(keys[rng() % 3]),
+                 rng() % 8 == 0 ? Value() : Value(int64_t(rng() % 5)),
+                 rng() % 8 == 0 ? Value() : Value(xs[rng() % 7]),
+                 rng() % 8 == 0 ? Value() : Value(int64_t(rng() % 7) - 3)});
+    }
+    last = t;
+    in.push_back(StreamElement::Record(std::move(t), ts));
+    // Strictly increasing, so a restored executor (whose watermarks start
+    // over) releases the same instants.
+    if (rng() % 4 == 0 && max_ts - 1 > last_wm) {
+      last_wm = max_ts - 1;
+      in.push_back(StreamElement::Watermark(last_wm));
+    }
+  }
+  in.push_back(StreamElement::Watermark(max_ts + 100));
+  return in;
+}
+
+/// Records and watermarks as they reached a subscriber, tuples as bytes.
+std::vector<std::string> Flatten(const std::vector<StreamElement>& elements) {
+  std::vector<std::string> out;
+  for (const StreamElement& e : elements) {
+    out.push_back((e.is_record() ? TupleToBytes(e.tuple) : "wm") + "@" +
+                  std::to_string(e.timestamp));
+  }
+  return out;
+}
+
+/// Empty when the snapshot images are equal, else where they first differ
+/// (the images are too long to print whole).
+std::string SnapshotDiff(const std::vector<std::string>& a,
+                         const std::vector<std::string>& b) {
+  if (a.size() != b.size()) return "slot counts differ";
+  for (size_t s = 0; s < a.size(); ++s) {
+    if (a[s] == b[s]) continue;
+    size_t i = 0;
+    while (i < a[s].size() && i < b[s].size() && a[s][i] == b[s][i]) ++i;
+    const size_t from = i < 48 ? 0 : i - 48;
+    auto hex = [](const std::string& bytes, size_t pos, size_t n) {
+      std::string out;
+      for (size_t j = pos; j < std::min(bytes.size(), pos + n); ++j) {
+        const char* digits = "0123456789abcdef";
+        const auto c = static_cast<unsigned char>(bytes[j]);
+        out += digits[c >> 4];
+        out += digits[c & 15];
+      }
+      return out;
+    };
+    return "slot " + std::to_string(s) + " differs at byte " +
+           std::to_string(i) + " of " + std::to_string(a[s].size()) + "/" +
+           std::to_string(b[s].size()) + ": " + hex(a[s], from, i - from) +
+           " | " + hex(a[s], i, 32) + " vs " + hex(b[s], i, 32);
+  }
+  return "";
+}
+
+void DrainInto(const SubscriptionPtr& sub, std::vector<StreamElement>* out) {
+  StreamBatch batch;
+  while (sub->TryPoll(&batch)) {
+    for (const StreamElement& e : batch) out->push_back(e);
+  }
+}
+
+/// Query shapes the kernel folds from columns (projections, grouped and
+/// global aggregates, HAVING, two plans on one window), and ones it does
+/// not (a division, a join, a row-based window).
+std::vector<std::string> KernelQueries() {
+  return {
+      "SELECT k, a FROM s [Range 3] WHERE a > 1",
+      "SELECT k, a + b AS ab, x FROM s [Range 2] WHERE b > -2 EMIT DSTREAM",
+      "SELECT k, COUNT(*) AS n, SUM(a) AS sa, AVG(x) AS ax, MIN(x) AS mn, "
+      "MAX(k) AS mk FROM s [Range 4] GROUP BY k",
+      "SELECT k, MAX(x) AS mx, MIN(b) AS mb FROM s [Range 4] GROUP BY k "
+      "EMIT DSTREAM",
+      "SELECT COUNT(a) AS n, SUM(x) AS sx, AVG(a) AS aa, MIN(b) AS mb, "
+      "MAX(x) AS mx FROM s [Range 6] EMIT RSTREAM",
+      "SELECT k, SUM(x) AS sx FROM s [Range 5] GROUP BY k "
+      "HAVING SUM(x) > 0 EMIT DSTREAM",
+      "SELECT k, SUM(x) AS sx, MIN(a) AS ma FROM s [Now] GROUP BY k "
+      "EMIT RSTREAM",
+      "SELECT a, COUNT(*) AS n FROM s [Range Unbounded] GROUP BY a",
+      "SELECT k, a / 2 AS h FROM s [Range 3]",
+      "SELECT l.k, r.a FROM s l [Range 3], s r [Range 3] WHERE l.k = r.k",
+      "SELECT k, COUNT(*) AS n FROM s [Rows 5] GROUP BY k",
+  };
+}
+
+struct KernelTwin {
+  explicit KernelTwin(Catalog catalog) : svc(std::move(catalog)) {}
+  QueryService svc;
+  std::vector<QueryId> ids;
+  std::vector<SubscriptionPtr> subs;
+  std::vector<std::vector<StreamElement>> outputs;
+
+  void SubscribeAll() {
+    for (QueryId id : ids) {
+      auto sub = svc.Subscribe(id);
+      ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+      subs.push_back(*sub);
+    }
+    outputs.resize(subs.size());
+  }
+  void Drain() {
+    for (size_t q = 0; q < subs.size(); ++q) DrainInto(subs[q], &outputs[q]);
+  }
+  std::vector<std::string> Slots() {
+    auto slots = svc.SnapshotSlots();
+    EXPECT_TRUE(slots.ok()) << slots.status().ToString();
+    return slots.ok() ? *slots : std::vector<std::string>{};
+  }
+};
+
+TEST(PlanKernelEquivalenceTest, PushBatchMatchesPerElementPushes) {
+  for (uint32_t seed : {3u, 11u}) {
+    const std::vector<StreamElement> input = RandomDeltaInput(seed, 400);
+    for (size_t chunk : {size_t{1}, size_t{4}, size_t{64}}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " chunk " +
+                   std::to_string(chunk));
+      KernelTwin batched(KernelCatalog()), ref(KernelCatalog());
+      for (const std::string& sql : KernelQueries()) {
+        auto a = batched.svc.RegisterQuery(sql);
+        auto b = ref.svc.RegisterQuery(sql);
+        ASSERT_TRUE(a.ok() && b.ok()) << sql << ": " << a.status().ToString();
+        batched.ids.push_back(*a);
+        ref.ids.push_back(*b);
+      }
+      batched.SubscribeAll();
+      ref.SubscribeAll();
+
+      // A mid-instant snapshot of the batched side, restored into a fresh
+      // service that then takes the rest of the input in batches.
+      std::unique_ptr<KernelTwin> restored;
+      std::vector<size_t> ref_output_at_restore;
+      const size_t restore_after = input.size() / 2;
+
+      for (size_t i = 0; i < input.size(); i += chunk) {
+        const size_t end = std::min(input.size(), i + chunk);
+        StreamBatch batch;
+        for (size_t j = i; j < end; ++j) {
+          batch.Add(input[j]);
+          const StreamElement& e = input[j];
+          Status st = e.is_record()
+                          ? ref.svc.PushRecord("s", e.tuple, e.timestamp)
+                          : ref.svc.PushWatermark("s", e.timestamp);
+          ASSERT_TRUE(st.ok()) << st.ToString();
+        }
+        ASSERT_TRUE(batched.svc.PushBatch("s", batch).ok());
+        if (restored != nullptr) {
+          ASSERT_TRUE(restored->svc.PushBatch("s", batch).ok());
+          restored->Drain();
+        }
+        // Drained as they go: a subscription holds a bounded backlog.
+        batched.Drain();
+        ref.Drain();
+        const std::vector<std::string> slots = batched.Slots();
+        ASSERT_EQ(SnapshotDiff(slots, ref.Slots()), "")
+            << "snapshot after element " << end;
+
+        if (restored == nullptr && end >= restore_after &&
+            input[end - 1].is_record()) {
+          restored = std::make_unique<KernelTwin>(KernelCatalog());
+          ASSERT_TRUE(restored->svc.RestoreSlots(slots).ok());
+          restored->ids = batched.ids;
+          restored->SubscribeAll();
+          for (const auto& out : ref.outputs) {
+            ref_output_at_restore.push_back(out.size());
+          }
+        }
+      }
+      for (size_t q = 0; q < ref.outputs.size(); ++q) {
+        EXPECT_EQ(Flatten(batched.outputs[q]), Flatten(ref.outputs[q]))
+            << KernelQueries()[q];
+      }
+      ASSERT_NE(restored, nullptr);
+      for (size_t q = 0; q < ref.outputs.size(); ++q) {
+        std::vector<StreamElement> tail(
+            ref.outputs[q].begin() +
+                static_cast<std::ptrdiff_t>(ref_output_at_restore[q]),
+            ref.outputs[q].end());
+        EXPECT_EQ(Flatten(restored->outputs[q]), Flatten(tail))
+            << "restored: " << KernelQueries()[q];
+      }
+      // The input did reach the columnar fold, and it did emit.
+      size_t records = 0;
+      for (const auto& out : ref.outputs) {
+        for (const StreamElement& e : out) records += e.is_record() ? 1 : 0;
+      }
+      EXPECT_GT(records, 100u);
+    }
+  }
+}
+
+/// A plan operator the executor can only hand rows: ProcessElement and the
+/// tuple fold behind it, whatever the window emits. The twin of the plan
+/// kernel in the tests below.
+class RowOnlyPlan : public Operator {
+ public:
+  RowOnlyPlan(RelOpPtr plan, R2SKind kind)
+      : Operator("plan"), plan_("plan", std::move(plan), 1, kind) {}
+  Status ProcessElement(size_t port, const StreamElement& element,
+                        const OperatorContext& ctx, Collector* out) override {
+    return plan_.ProcessElement(port, element, ctx, out);
+  }
+  Status OnWatermark(Timestamp watermark, const OperatorContext& ctx,
+                     Collector* out) override {
+    return plan_.OnWatermark(watermark, ctx, out);
+  }
+  Result<std::string> SnapshotState() const override {
+    return plan_.SnapshotState();
+  }
+  Status RestoreState(std::string_view snapshot) override {
+    return plan_.RestoreState(snapshot);
+  }
+
+ private:
+  PlanDeltaOperator plan_;
+};
+
+/// The plan operator alone, for every R2S output (the SQL front end has no
+/// relation output), against a twin that folds every delta from tuples.
+/// The queries keep their WHERE clauses in the plan, so the kernel runs a
+/// Select below the Aggregate and below a Project.
+TEST(PlanKernelEquivalenceTest, EveryOutputKindMatchesTheTupleFold) {
+  const Catalog catalog = KernelCatalog();
+  const std::vector<StreamElement> input = RandomDeltaInput(29, 300);
+  std::vector<std::string> queries = {
+      "SELECT k, a + 1 AS a1, x FROM s [Range 3] WHERE a > 1 AND x < 1.0",
+      "SELECT k, COUNT(*) AS n, SUM(x) AS sx, MAX(b) AS mb FROM s "
+      "[Range 3] WHERE b <> 0 GROUP BY k HAVING COUNT(*) > 1"};
+  for (const std::string& sql : KernelQueries()) {
+    if (sql.find(" l ") == std::string::npos) queries.push_back(sql);
+  }
+  for (const std::string& sql : queries) {
+    auto planned = PlanSql(sql, catalog);
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    for (R2SKind kind : {R2SKind::kIStream, R2SKind::kDStream,
+                         R2SKind::kRStream, R2SKind::kRelation}) {
+      auto build = [&](bool row_only) {
+        Built p;
+        p.out = std::make_unique<BoundedStream>();
+        auto g = std::make_unique<DataflowGraph>();
+        p.source = g->AddNode(std::make_unique<PassThroughOperator>("src"));
+        NodeId win = g->AddNode(std::make_unique<WindowDeltaOperator>(
+            "win", planned->query.input_windows[0]));
+        std::unique_ptr<Operator> plan_op;
+        if (row_only) {
+          plan_op = std::make_unique<RowOnlyPlan>(planned->query.plan, kind);
+        } else {
+          plan_op = std::make_unique<PlanDeltaOperator>(
+              "plan", planned->query.plan, 1, kind);
+        }
+        NodeId plan = g->AddNode(std::move(plan_op));
+        NodeId sink = g->AddNode(
+            std::make_unique<CollectSinkOperator>("sink", p.out.get()));
+        EXPECT_TRUE(g->Connect(p.source, win).ok());
+        EXPECT_TRUE(g->Connect(win, plan).ok());
+        EXPECT_TRUE(g->Connect(plan, sink).ok());
+        p.exec = std::make_unique<PipelineExecutor>(std::move(g));
+        return p;
+      };
+      for (size_t chunk : {size_t{1}, size_t{4}, size_t{64}}) {
+        SCOPED_TRACE(sql + " kind " + R2SKindToString(kind) + " chunk " +
+                     std::to_string(chunk));
+        Built batched = build(/*row_only=*/false);
+        Built ref = build(/*row_only=*/true);
+        for (size_t i = 0; i < input.size(); i += chunk) {
+          const size_t end = std::min(input.size(), i + chunk);
+          StreamBatch batch;
+          for (size_t j = i; j < end; ++j) {
+            batch.Add(input[j]);
+            ASSERT_TRUE(ref.exec->Push(ref.source, input[j]).ok());
+          }
+          ASSERT_TRUE(batched.exec->PushBatch(batched.source, batch).ok());
+          auto a = batched.exec->SnapshotSlots();
+          auto b = ref.exec->SnapshotSlots();
+          ASSERT_TRUE(a.ok() && b.ok());
+          ASSERT_EQ(SnapshotDiff(*a, *b), "")
+              << "snapshot after element " << end;
+        }
+        if (kind != R2SKind::kDStream) ASSERT_GT(ref.out->num_records(), 0u);
+        ExpectStreamsIdentical(*ref.out, *batched.out, "plan kernel");
+      }
+    }
+  }
 }
 
 }  // namespace

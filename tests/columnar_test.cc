@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <string>
 #include <vector>
@@ -81,6 +82,65 @@ StreamBatch MixedRowBatch() {
   rows.AddWatermark(13);
   rows.AddWatermark(15);
   return rows;
+}
+
+TEST(ColumnTest, HashAndCompareAtMatchTheMaterializedValue) {
+  // Every kind of value, NULLs and the numeric corner cases included, in
+  // one column per type; an untyped all-NULL column besides.
+  const std::vector<std::vector<Value>> per_type = {
+      {Value(true), Value(false), Value()},
+      {Value(int64_t{-1}), Value(int64_t{0}), Value(int64_t{5}),
+       Value(int64_t{INT64_MIN}), Value()},
+      {Value(0.0), Value(-0.0), Value(5.0), Value(0.5), Value(1e300),
+       Value(-2.5), Value()},
+      {Value(std::string()), Value("a"), Value("ab"), Value("b"), Value()},
+      {Value(), Value()},
+  };
+  std::vector<Column> cols(per_type.size());
+  std::vector<Value> all;
+  for (size_t t = 0; t < per_type.size(); ++t) {
+    for (const Value& v : per_type[t]) {
+      ASSERT_TRUE(cols[t].Append(v).ok());
+      all.push_back(v);
+    }
+  }
+  for (const Column& c : cols) {
+    for (size_t i = 0; i < c.size(); ++i) {
+      const Value vi = c.ValueAt(i);
+      EXPECT_EQ(c.HashAt(i), vi.Hash()) << vi.ToString();
+      for (const Value& v : all) {
+        EXPECT_EQ(c.CompareAt(i, v), vi.Compare(v))
+            << vi.ToString() << " vs " << v.ToString();
+      }
+      for (const Column& d : cols) {
+        for (size_t j = 0; j < d.size(); ++j) {
+          EXPECT_EQ(c.CompareAt(i, d, j), vi.Compare(d.ValueAt(j)))
+              << vi.ToString() << " vs " << d.ValueAt(j).ToString();
+        }
+      }
+    }
+  }
+}
+
+TEST(ColumnTest, ClearKeepsNothingButStorage) {
+  Column c;
+  ASSERT_TRUE(c.Append(Value("x")).ok());
+  ASSERT_TRUE(c.Append(Value()).ok());
+  c.Clear();
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_EQ(c.type(), ValueType::kNull);
+  EXPECT_FALSE(c.has_nulls());
+  // A cleared column takes any type again.
+  ASSERT_TRUE(c.Append(Value(int64_t{4})).ok());
+  EXPECT_EQ(c.ValueAt(0), Value(int64_t{4}));
+  // Cleared to a type, it keeps that type through NULL rows.
+  c.Clear(ValueType::kString);
+  EXPECT_EQ(c.type(), ValueType::kString);
+  c.AppendNull();
+  c.AppendString("y");
+  EXPECT_EQ(c.type(), ValueType::kString);
+  EXPECT_TRUE(c.ValueAt(0).is_null());
+  EXPECT_EQ(c.ValueAt(1), Value("y"));
 }
 
 TEST(ColumnarBatchTest, RowColumnRowRoundTripPreservesEverything) {

@@ -1347,7 +1347,29 @@ TEST(NetServerTest, DoublesReachSubscribersAtFullPrecision) {
 
 // --- Ingest runs --------------------------------------------------------------
 
-/// Forwards to a real backend and logs every ingest call it receives.
+/// Forwards to a real feed and counts its polls.
+class CountingFeed : public SubscriberFeed {
+ public:
+  CountingFeed(std::unique_ptr<SubscriberFeed> inner,
+               std::atomic<uint64_t>* polls)
+      : inner_(std::move(inner)), polls_(polls) {}
+
+  bool TryPoll(StreamBatch* out) override {
+    polls_->fetch_add(1);
+    return inner_->TryPoll(out);
+  }
+  void Cancel() override { inner_->Cancel(); }
+  bool Closed() const override { return inner_->Closed(); }
+  size_t Depth() const override { return inner_->Depth(); }
+  uint64_t QueryId() const override { return inner_->QueryId(); }
+
+ private:
+  std::unique_ptr<SubscriberFeed> inner_;
+  std::atomic<uint64_t>* polls_;
+};
+
+/// Forwards to a real backend, logs every ingest call it receives and
+/// counts the polls of the feeds it hands out.
 class RecordingBackend : public ServiceBackend {
  public:
   explicit RecordingBackend(ServiceBackend* inner) : inner_(inner) {}
@@ -1362,7 +1384,10 @@ class RecordingBackend : public ServiceBackend {
   }
   Status DropQuery(cq::QueryId id) override { return inner_->DropQuery(id); }
   Result<std::unique_ptr<SubscriberFeed>> Subscribe(cq::QueryId id) override {
-    return inner_->Subscribe(id);
+    CQ_ASSIGN_OR_RETURN(std::unique_ptr<SubscriberFeed> feed,
+                        inner_->Subscribe(id));
+    return std::unique_ptr<SubscriberFeed>(
+        std::make_unique<CountingFeed>(std::move(feed), &polls));
   }
   Status PushRecord(const std::string& stream, Tuple tuple,
                     Timestamp ts) override {
@@ -1394,6 +1419,7 @@ class RecordingBackend : public ServiceBackend {
   }
 
   std::vector<std::string> calls;  // read only after the server stopped
+  std::atomic<uint64_t> polls{0};   // TryPoll calls on any handed-out feed
 
  private:
   ServiceBackend* inner_;
@@ -1525,6 +1551,48 @@ TEST(NetServerTest, IngestBurstCoalescesIntoRunsOnLocalBackend) {
 
 TEST(NetServerTest, IngestBurstCoalescesIntoRunsOnShardedBackend) {
   CheckIngestRunsCoalesce(/*sharded=*/true);
+}
+
+TEST(NetServerTest, EachConnectionEventPollsTheFeedsOnce) {
+  // A connection event pumps the mux once; the tick runs only when its
+  // interval has passed, not after every event. A feed with nothing queued
+  // costs one TryPoll per pass, so with the one LISTEN feed and no
+  // watermark, each PUSH event is exactly one poll.
+  QueryService svc(Catalog{}, ServiceConfig{});
+  LocalBackend local(&svc);
+  RecordingBackend backend(&local);
+  ServerConfig config;
+  config.tick_ms = 1000;
+  Server server(&backend, config);
+  ASSERT_TRUE(server.Init().ok());
+  std::thread loop([&] { server.Run(); });
+  {
+    TestClient producer(server.port());
+    TestClient listener(server.port());
+    ASSERT_EQ(producer.Cmd("STREAM trades sym:string,price:int64,qty:int64"),
+              "OK");
+    ASSERT_EQ(producer.Cmd("REGISTER SELECT sym, price FROM trades "
+                           "[Range 100]"),
+              "OK id=1");
+    ASSERT_EQ(listener.Cmd("LISTEN 1"), "OK sub=1 push");
+    // Replies go out before the loop finishes its round; let the round
+    // that answered LISTEN end before counting.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const uint64_t before = backend.polls.load();
+    constexpr uint64_t kPushes = 20;
+    for (uint64_t ts = 1; ts <= kPushes; ++ts) {
+      ASSERT_EQ(producer.Cmd("PUSH trades " + std::to_string(ts) +
+                             " ACME,42,1"),
+                "OK");
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const uint64_t polls = backend.polls.load() - before;
+    // One pass per event; a tick that falls due meanwhile adds one more.
+    EXPECT_GE(polls, kPushes);
+    EXPECT_LE(polls, kPushes + 1);
+  }
+  server.ShutdownAsync();
+  loop.join();
 }
 
 }  // namespace

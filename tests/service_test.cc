@@ -200,8 +200,10 @@ double SumMetric(const std::string& text, const std::string& family,
 TEST(ServiceColumnarTest, RegisteredQueryRunsColumnarEndToEnd) {
   // Batched pushes ship columnar through the registered query's prefix
   // chain (src passthrough -> lifted filter transform -> window-delta
-  // consume); the coverage counters prove which path each node took, and a
-  // per-record-driven twin service proves results are unchanged.
+  // consume) and on to the residual plan, which folds the window's
+  // columnar delta runs; the coverage counters prove which path each node
+  // took, and a per-record-driven twin service proves results are
+  // unchanged.
   MetricsRegistry registry;
   ServiceConfig cfg;
   cfg.metrics = &registry;
@@ -247,14 +249,17 @@ TEST(ServiceColumnarTest, RegisteredQueryRunsColumnarEndToEnd) {
   EXPECT_EQ(Canon(got), Canon(want));
 
   std::string text = svc.DumpMetrics(MetricsFormat::kText);
-  // Filter and window-delta stages handled every batch vectorized; nothing
-  // fell back (the window's row emissions to the residual plan are native
-  // row output of a consume kernel, not a fallback).
+  // Filter, window-delta and plan stages handled every batch vectorized;
+  // nothing fell back to rows.
   EXPECT_GT(SumMetric(text, "cq_dataflow_vectorized_batches_total", "flt:"), 0);
   EXPECT_GT(SumMetric(text, "cq_dataflow_vectorized_batches_total", "win:"), 0);
+  EXPECT_GT(SumMetric(text, "cq_dataflow_vectorized_batches_total", "plan:"),
+            0);
   EXPECT_EQ(SumMetric(text, "cq_dataflow_row_fallback_batches_total", "flt:"),
             0);
   EXPECT_EQ(SumMetric(text, "cq_dataflow_row_fallback_batches_total", "win:"),
+            0);
+  EXPECT_EQ(SumMetric(text, "cq_dataflow_row_fallback_batches_total", "plan:"),
             0);
 }
 
